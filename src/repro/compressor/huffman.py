@@ -1,9 +1,10 @@
 """Canonical Huffman coder over integer quantization codes (§III-C-1).
 
-Provides both an exact *size* computation (Σ freq·len — identical to the
-size of a real encoding, used by the measurement harness at benchmark scale)
-and a real bitstream encode/decode pair (used by round-trip tests and by the
-lossless stage, which compresses the actual packed bitstream).
+Provides an exact *size* computation (Σ freq·len — identical to the size
+of a real encoding, used by the measurement harness at benchmark scale), a
+real bitstream encoder (the lossless stage compresses its packed output),
+and a per-bit reference decoder that the round-trip tests check the encoder
+against (``pipeline.decompress`` reuses the in-memory codes instead).
 
 The encoder is vectorized: per output-bit-position scatter into a boolean
 bit array, then ``np.packbits``; at most ``max_code_len`` passes.
@@ -39,12 +40,6 @@ class HuffmanCode:
     def bitrate(self) -> float:
         """Average bits per encoded symbol."""
         return self.total_bits / max(1, self.n)
-
-    def length_of(self, symbol: int) -> int:
-        i = np.searchsorted(self.symbols, symbol)
-        if i < len(self.symbols) and self.symbols[i] == symbol:
-            return int(self.lengths[i])
-        raise KeyError(symbol)
 
     # ------------------------------------------------------------------
     def encode(self, stream: np.ndarray) -> bytes:

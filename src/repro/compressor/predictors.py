@@ -32,16 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantizer import dequantize, quantize
+
 __all__ = ["PREDICTORS", "Lorenzo", "Interpolation", "Regression", "get_predictor"]
 
 
 def _as64(data: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
-
-
-def _quantize(err: np.ndarray, eb: float) -> np.ndarray:
-    """Linear-scaling quantization: interval size 2×eb (§III-B)."""
-    return np.rint(err / (2.0 * eb)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -113,13 +110,13 @@ class Lorenzo(_Base):
         return a
 
     def compress(self, data, eb):
-        k = _quantize(_as64(data), eb)  # lattice index of each point
+        k = quantize(_as64(data), eb)  # lattice index of each point
         q = self._forward(k)
         return q.ravel(), {}
 
     def decompress(self, codes, shape, eb, extras):
         k = self._inverse(codes.reshape(shape).astype(np.int64))
-        return (2.0 * eb) * k.astype(np.float64)
+        return dequantize(k, eb)
 
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:
         """Full prediction-error field on original values (= Lorenzo finite
@@ -205,8 +202,8 @@ class Interpolation(_Base):
         parts = []
         for s, ax, tgt, base, nt in _interp_groups(shape, s0):
             pred = _axis_mid_pred(r[base], nt, ax)
-            q = _quantize(d[tgt] - pred, eb)
-            r[tgt] = pred + (2.0 * eb) * q
+            q = quantize(d[tgt] - pred, eb)
+            r[tgt] = pred + dequantize(q, eb)
             parts.append(q.ravel())
         codes = np.concatenate(parts) if parts else np.empty(0, np.int64)
         return codes, {"anchors": anchors}
@@ -222,7 +219,7 @@ class Interpolation(_Base):
             m = pred.size
             q = codes[pos : pos + m].reshape(pred.shape)
             pos += m
-            r[tgt] = pred + (2.0 * eb) * q
+            r[tgt] = pred + dequantize(q, eb)
         return r
 
     def sample_errors(self, data, rate=0.01, seed=0):
@@ -346,7 +343,7 @@ class Regression(_Base):
         blocks = self._to_blocks(d)
         coefs = self._fit(blocks)
         pred = self._predict(coefs, blocks.shape[1:])
-        q = _quantize(blocks - pred, eb)
+        q = quantize(blocks - pred, eb)
         return q.ravel(), {"coefs": coefs}
 
     def decompress(self, codes, shape, eb, extras):
@@ -354,7 +351,7 @@ class Regression(_Base):
         coefs = extras["coefs"]
         pred = self._predict(coefs, bs)
         q = codes.reshape(pred.shape)
-        return self._from_blocks(pred + (2.0 * eb) * q, shape)
+        return self._from_blocks(pred + dequantize(q, eb), shape)
 
     def sample_errors(self, data, rate=0.01, seed=0):
         # §III-D-3: sample whole blocks, fit, collect residuals.

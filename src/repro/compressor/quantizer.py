@@ -1,9 +1,11 @@
 """Linear-scaling quantizer (§III-B).
 
 The quantization interval is ``2×eb`` so that reconstructing at the bin
-centre guarantees the point-wise absolute error bound ``eb``. These helpers
-are the single definition used by every predictor and by the model's
-sampling path.
+centre guarantees the point-wise absolute error bound ``eb``. ``quantize``
+and ``dequantize`` are the single definition every predictor's compress and
+decompress path uses, and ``quantize`` also bins the model's raw sampled
+histogram (``core.histogram.code_histogram``). ``quantize`` rejects
+``eb <= 0``, for which no error-bounded encoding exists.
 """
 from __future__ import annotations
 

@@ -1,72 +1,21 @@
-"""Zero-run-length encoding and the optional lossless stage (§III-C-2).
+"""The optional lossless stage (§III-C-2).
 
 After Huffman coding, residual redundancy in prediction-based compressors is
 almost entirely *runs of zero codes* (the predictor nails most points, so
 code 0 dominates at moderate/high error bounds). The paper therefore models
 the optional lossless encoder (Zstandard in their measurements) as RLE on
-zeros, regardless of which lossless coder actually runs.
+zeros, regardless of which lossless coder actually runs; that model, with
+its calibrated run-token cost ``MODEL_C1_BITS``, lives in
+``core.ratio_model``.
 
-Here we implement both:
-
-* a real zero-RLE coder (``rle_zero_encode`` / ``rle_zero_decode``) whose
-  run-length tokens cost a fixed ``C1_BITS`` each — the constant the model's
-  Eq. (5) calls ``C1``;
-* the measured lossless stage: ``zlib`` (stdlib stand-in for Zstandard)
-  over the packed Huffman bitstream.
+The measured stage here is ``zlib`` (stdlib stand-in for Zstandard) over the
+packed Huffman bitstream.
 """
 from __future__ import annotations
 
 import zlib
 
-import numpy as np
-
-__all__ = [
-    "C1_BITS",
-    "MAX_RUN",
-    "rle_zero_encode",
-    "rle_zero_decode",
-    "lossless_bytes",
-]
-
-#: Fixed bits to represent one zero-run length (model constant C1).
-C1_BITS = 8
-#: Longest run representable by one token (longer runs are split).
-MAX_RUN = (1 << C1_BITS) - 1
-
-
-def rle_zero_encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse zero runs: → (tokens, run_lengths).
-
-    ``tokens`` is the code stream with each zero-run replaced by a single 0;
-    ``run_lengths[i]`` is the length (1…MAX_RUN) of the i-th zero token's run.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.size == 0:
-        return codes.copy(), np.empty(0, dtype=np.int64)
-    # boundaries of equal-value runs
-    change = np.flatnonzero(np.diff(codes) != 0)
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [codes.size]))
-    vals = codes[starts]
-    lens = (ends - starts).astype(np.int64)
-    is_zero = vals == 0
-    # tokens per run: a zero run of length L becomes ceil(L/MAX_RUN) zero
-    # tokens; a nonzero run of length L stays L literal tokens.
-    n_tok = np.where(is_zero, -(-lens // MAX_RUN), lens)
-    tokens = np.repeat(vals, n_tok)
-    runs = np.repeat(np.where(is_zero, MAX_RUN, 0).astype(np.int64), n_tok)
-    # the last token of each zero run carries the remainder (if any)
-    last = np.cumsum(n_tok) - 1
-    rem = lens % MAX_RUN
-    fix = is_zero & (rem > 0)
-    runs[last[fix]] = rem[fix]
-    return tokens, runs
-
-
-def rle_zero_decode(tokens: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rle_zero_encode`."""
-    reps = np.where(np.asarray(tokens) == 0, np.asarray(runs), 1)
-    return np.repeat(np.asarray(tokens, dtype=np.int64), reps)
+__all__ = ["lossless_bytes"]
 
 
 def lossless_bytes(payload: bytes, level: int = 6) -> int:

@@ -39,7 +39,8 @@ C2 = {"lorenzo": 0.2, "interp": 0.1, "regression": 0.0}
 THETA2 = 0.8
 
 #: Phase-transfer multiplier α per (predictor, ndim) — calibrated once on
-#: the synthetic corpus (see tests/test_histogram_correction.py).
+#: the synthetic corpus (see DESIGN.md, "Correction layer (Eq. 9)"); no
+#: script in the repository regenerates these values yet.
 _ALPHA = {
     "lorenzo": {1: 0.25, 2: 1.0, 3: 1.5, 4: 2.0},
     # interp predicts from reconstructed *averages* whose errors stay small

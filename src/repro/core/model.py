@@ -13,7 +13,6 @@ from ..compressor.huffman import codebook_bytes
 from ..compressor.pipeline import HEADER_BYTES
 from ..compressor.predictors import get_predictor
 from . import histogram, quality_model, ratio_model
-from .ratio_model import MODEL_C1_BITS
 from .sampling import sample_values
 
 __all__ = ["RatioQualityModel"]
@@ -28,7 +27,6 @@ class RatioQualityModel:
         predictor: str = "lorenzo",
         sample_rate: float = 0.01,
         seed: int = 0,
-        c1_bits: float = MODEL_C1_BITS,
         correction: str | None = "phase",
     ):
         """``correction`` selects the histogram correction layer: "phase"
@@ -41,7 +39,6 @@ class RatioQualityModel:
         self.n_points = int(np.prod(self.shape))
         self.coded_count = pred.coded_count(self.shape)
         self.side_bytes = pred.side_bytes(self.shape)
-        self.c1_bits = float(c1_bits)
         if correction not in ("phase", "eq9", None):
             raise ValueError(f"unknown correction {correction!r}")
         self.correction = correction
@@ -95,7 +92,7 @@ class RatioQualityModel:
         syms, cnts = self._hist(eb_abs)
         p0 = histogram.p0_of(syms, cnts)
         b_code = ratio_model.huffman_bitrate(cnts)
-        b_code_ll = ratio_model.lossless_bitrate(b_code, p0, self.c1_bits)
+        b_code_ll = ratio_model.lossless_bitrate(b_code, p0)
         oh = self._overhead_bits(len(syms))
         bitrate_huff = (b_code * self.coded_count + oh) / self.n_points
         bitrate_ll = (b_code_ll * self.coded_count + oh) / self.n_points
@@ -105,16 +102,13 @@ class RatioQualityModel:
             "p0": p0,
             "bitrate_huff": bitrate_huff,
             "bitrate_ll": bitrate_ll,
-            "rle_ratio": ratio_model.rle_ratio(p0, b_code, self.c1_bits),
+            "rle_ratio": ratio_model.rle_ratio(p0, b_code),
             "ratio_huff": 32.0 / bitrate_huff if bitrate_huff > 0 else float("inf"),
             "ratio_ll": 32.0 / bitrate_ll if bitrate_ll > 0 else float("inf"),
             "sigma_e2": s2,
             "psnr": quality_model.psnr_est(self.value_range, s2),
             "ssim": quality_model.ssim_est(self.sigma_d2, s2, self.value_range),
         }
-
-    def estimate_many(self, ebs_abs) -> list[dict]:
-        return [self.estimate(e) for e in ebs_abs]
 
     # ------------------------------------------------------------------
     def error_bound_for_bitrate(self, target_bits_per_point: float, lossless: bool = True) -> float:
@@ -129,20 +123,21 @@ class RatioQualityModel:
         hi = max(self.value_range, lo * 10)
         return ratio_model.invert_bitrate(est, target_bits_per_point, lo, hi)
 
-    def error_bound_for_psnr(self, target_psnr_db: float) -> float:
-        """Invert the quality model: largest error bound whose estimated
-        PSNR still meets ``target_psnr_db`` (in-situ use-case 3). Bisection
-        on the model's (monotone) PSNR(eb) curve — again pure model
-        evaluations on the sample."""
+    def _largest_eb(self, ok) -> float:
+        """Largest error bound for which the monotone predicate ``ok`` still
+        holds: log-space bisection on [range·1e-9, range] to a 0.1% bracket.
+        Pure model evaluations on the sample — no compression. Lorenzo's
+        lattice variance is not monotone at that scale, so there the result
+        is a bound where ``ok`` flips, not always the largest one."""
         lo = max(self.value_range * 1e-9, np.finfo(np.float64).tiny)
         hi = max(self.value_range, lo * 10)
-        if self.estimate(hi)["psnr"] >= target_psnr_db:
+        if ok(hi):
             return hi
-        if self.estimate(lo)["psnr"] < target_psnr_db:
+        if not ok(lo):
             return lo
         for _ in range(60):
             mid = float(np.sqrt(lo * hi))
-            if self.estimate(mid)["psnr"] >= target_psnr_db:
+            if ok(mid):
                 lo = mid
             else:
                 hi = mid
@@ -150,27 +145,21 @@ class RatioQualityModel:
                 break
         return lo
 
+    def error_bound_for_psnr(self, target_psnr_db: float) -> float:
+        """Invert the quality model: largest error bound whose estimated
+        PSNR still meets ``target_psnr_db`` (in-situ use-case 3)."""
+        return self._largest_eb(
+            lambda eb: quality_model.psnr_est(self.value_range, self._sigma_e2(eb))
+            >= target_psnr_db
+        )
+
     def error_bound_for_mse(self, target_mse: float) -> float:
         """Largest error bound whose estimated error variance stays at or
         below ``target_mse``. Used when the quality target is expressed
         against a *global* peak (e.g. a snapshot-level PSNR floor while this
         model only sees one rank's partition): the caller converts the
         global PSNR to an MSE budget, which is range-free."""
-        lo = max(self.value_range * 1e-9, np.finfo(np.float64).tiny)
-        hi = max(self.value_range, lo * 10)
-        if self._sigma_e2(hi) <= target_mse:
-            return hi
-        if self._sigma_e2(lo) > target_mse:
-            return lo
-        for _ in range(60):
-            mid = float(np.sqrt(lo * hi))
-            if self._sigma_e2(mid) <= target_mse:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1.001:
-                break
-        return lo
+        return self._largest_eb(lambda eb: self._sigma_e2(eb) <= target_mse)
 
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray, uniform_only: bool = False) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the

@@ -21,7 +21,6 @@ __all__ = [
     "rle_ratio",
     "lossless_bitrate",
     "invert_bitrate",
-    "huffman_anchor_curve",
     "MODEL_C1_BITS",
     "MODEL_RMAX",
 ]
@@ -121,33 +120,3 @@ def invert_bitrate(
         else:
             hi = mid
     return float(np.sqrt(lo * hi))
-
-
-def huffman_anchor_curve(
-    errors: np.ndarray,
-    weights: np.ndarray,
-    anchors: tuple[float, ...] = (0.5, 0.8, 0.95),
-) -> list[tuple[float, float, float]]:
-    """§III-C-1 low-bit-rate fallback: profile the histogram at central-bin
-    fractions p0 ∈ anchors by widening the central bin, returning
-    ``(p0, eb, B)`` triples — ``eb`` is half the central-bin width at which
-    the zero bin reaches ``p0``, ``B`` the Eq. (1) bit-rate of the profiled
-    histogram. Interpolating B over log(eb) between these anchors gives the
-    continuous error-bound → bit-rate relation of the paper."""
-    ae = np.abs(np.asarray(errors, dtype=np.float64))
-    w = np.asarray(weights, dtype=np.float64)
-    order = np.argsort(ae)
-    ae_s, w_s = ae[order], w[order]
-    cum = np.cumsum(w_s)
-    total = cum[-1]
-    out = []
-    for p0 in anchors:
-        # smallest |err| quantile q with weight-fraction >= p0 → eb = q
-        i = int(np.searchsorted(cum, p0 * total))
-        i = min(i, len(ae_s) - 1)
-        eb = max(float(ae_s[i]), np.finfo(np.float64).tiny)
-        from .histogram import code_histogram  # local import avoids a cycle
-
-        syms, cnts = code_histogram(np.asarray(errors), w, eb)
-        out.append((p0, eb, huffman_bitrate(cnts)))
-    return out

@@ -4,8 +4,11 @@ A chunk row is ``(dataset, field, chunk_id, dims, dtype, values)`` where
 ``values`` is the raw little-endian buffer of a C-contiguous array of shape
 ``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds a
 contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
+``per_chunk`` is the one place per-chunk work enters the Spark executors.
 """
 from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -18,6 +21,7 @@ __all__ = [
     "chunk_rows",
     "chunk_to_array",
     "chunks_to_arrays",
+    "per_chunk",
 ]
 
 CHUNK_SCHEMA = T.StructType(
@@ -81,3 +85,25 @@ def chunks_to_arrays(df: DataFrame) -> dict[tuple[str, str, int], np.ndarray]:
         (r["dataset"], r["field"], int(r["chunk_id"])): chunk_to_array(r)
         for r in df.collect()
     }
+
+
+def per_chunk(
+    chunks: DataFrame,
+    fn: Callable[[dict, np.ndarray], Iterable[dict]],
+    schema: T.StructType,
+) -> DataFrame:
+    """Run ``fn(row, array)`` on every chunk inside the executors.
+
+    ``row`` is the chunk row as a dict and ``array`` its decoded values;
+    ``fn`` returns that chunk's output rows as dicts. Each chunk's rows
+    become one pandas frame with ``schema``'s columns, in the order the
+    partition holds the chunks (Arrow ``mapInPandas``).
+    """
+    cols = schema.fieldNames()
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            for row in pdf.to_dict("records"):
+                yield pd.DataFrame(fn(row, chunk_to_array(row)), columns=cols)
+
+    return chunks.mapInPandas(run, schema=schema)

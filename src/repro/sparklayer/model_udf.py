@@ -1,5 +1,5 @@
 """Per-partition ratio-quality modeling and ground-truth compression,
-as Arrow ``mapInPandas`` transformations over chunk DataFrames.
+as ``per_chunk`` transformations over chunk DataFrames.
 
 ``estimate_metrics`` runs the paper's model (one-time 1% sample per chunk ×
 predictor, then per-error-bound estimates); ``measure_metrics`` runs the
@@ -11,17 +11,16 @@ overhead study (Fig. 9 / Table E1).
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 from ..core.sampling import sample_error_report
-from .chunks import chunk_to_array
+from .chunks import per_chunk
 
 __all__ = ["METRIC_SCHEMA", "estimate_metrics", "measure_metrics", "sample_reports"]
 
@@ -45,10 +44,23 @@ METRIC_SCHEMA = T.StructType(
 )
 
 
-def _iter_rows(batches: Iterable[pd.DataFrame]) -> Iterator[dict]:
-    for pdf in batches:
-        for _, row in pdf.iterrows():
-            yield row
+def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
+    return dict(
+        dataset=row["dataset"],
+        field=row["field"],
+        chunk_id=int(row["chunk_id"]),
+        predictor=predictor,
+        kind=kind,
+        eb_rel=eb_rel,
+        eb_abs=eb_abs,
+        n_points=int(arr.size),
+        bitrate_huff=m["bitrate_huff"],
+        bitrate_ll=m["bitrate_ll"],
+        p0=m["p0"],
+        psnr=m["psnr"],
+        ssim=m["ssim"],
+        seconds=seconds,
+    )
 
 
 def estimate_metrics(
@@ -68,39 +80,18 @@ def estimate_metrics(
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
-    def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for row in _iter_rows(batches):
-            arr = chunk_to_array(row)
-            out = []
-            for p in preds:
+    def fn(row, arr):
+        for p in preds:
+            t0 = time.perf_counter()
+            model = RatioQualityModel(arr, p, sample_rate=sample_rate, seed=seed)
+            t_build = time.perf_counter() - t0
+            for i, ebr in enumerate(ebs):
                 t0 = time.perf_counter()
-                model = RatioQualityModel(arr, p, sample_rate=sample_rate, seed=seed)
-                t_build = time.perf_counter() - t0
-                for i, ebr in enumerate(ebs):
-                    t0 = time.perf_counter()
-                    est = model.estimate(model.abs_bound(ebr))
-                    dt = time.perf_counter() - t0 + (t_build if i == 0 else 0.0)
-                    out.append(
-                        dict(
-                            dataset=row["dataset"],
-                            field=row["field"],
-                            chunk_id=int(row["chunk_id"]),
-                            predictor=p,
-                            kind="est",
-                            eb_rel=ebr,
-                            eb_abs=est["eb_abs"],
-                            n_points=int(arr.size),
-                            bitrate_huff=est["bitrate_huff"],
-                            bitrate_ll=est["bitrate_ll"],
-                            p0=est["p0"],
-                            psnr=est["psnr"],
-                            ssim=est["ssim"],
-                            seconds=dt,
-                        )
-                    )
-            yield pd.DataFrame(out)
+                est = model.estimate(model.abs_bound(ebr))
+                dt = time.perf_counter() - t0 + (t_build if i == 0 else 0.0)
+                yield _metric_row(row, arr, p, "est", ebr, est["eb_abs"], est, dt)
 
-    return chunks.mapInPandas(run, schema=METRIC_SCHEMA)
+    return per_chunk(chunks, fn, METRIC_SCHEMA)
 
 
 def measure_metrics(
@@ -114,40 +105,19 @@ def measure_metrics(
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
-    def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for row in _iter_rows(batches):
-            arr = chunk_to_array(row)
-            d = np.asarray(arr, dtype=np.float64)
-            vrange = float(d.max() - d.min())
-            ssim_ok = with_ssim and arr.ndim in (2, 3)
-            out = []
-            for p in preds:
-                for ebr in ebs:
-                    eb_abs = ebr * vrange
-                    t0 = time.perf_counter()
-                    m = pipeline.measure(arr, p, eb_abs, with_ssim=ssim_ok)
-                    dt = time.perf_counter() - t0
-                    out.append(
-                        dict(
-                            dataset=row["dataset"],
-                            field=row["field"],
-                            chunk_id=int(row["chunk_id"]),
-                            predictor=p,
-                            kind="meas",
-                            eb_rel=ebr,
-                            eb_abs=eb_abs,
-                            n_points=int(arr.size),
-                            bitrate_huff=m["bitrate_huff"],
-                            bitrate_ll=m["bitrate_ll"],
-                            p0=m["p0"],
-                            psnr=m["psnr"],
-                            ssim=m["ssim"],
-                            seconds=dt,
-                        )
-                    )
-            yield pd.DataFrame(out)
+    def fn(row, arr):
+        d = np.asarray(arr, dtype=np.float64)
+        vrange = float(d.max() - d.min())
+        ssim_ok = with_ssim and arr.ndim in (2, 3)
+        for p in preds:
+            for ebr in ebs:
+                eb_abs = ebr * vrange
+                t0 = time.perf_counter()
+                m = pipeline.measure(arr, p, eb_abs, with_ssim=ssim_ok)
+                dt = time.perf_counter() - t0
+                yield _metric_row(row, arr, p, "meas", ebr, eb_abs, m, dt)
 
-    return chunks.mapInPandas(run, schema=METRIC_SCHEMA)
+    return per_chunk(chunks, fn, METRIC_SCHEMA)
 
 
 SAMPLE_SCHEMA = T.StructType(
@@ -169,20 +139,16 @@ def sample_reports(
     """Table II "Sample Err." rows: fidelity of the sampled prediction-error
     distribution per chunk (std deviation relative to value range)."""
 
-    def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for row in _iter_rows(batches):
-            arr = chunk_to_array(row)
-            rep = sample_error_report(arr, predictor, rate=rate, seed=seed)
-            yield pd.DataFrame(
-                [
-                    dict(
-                        dataset=row["dataset"],
-                        field=row["field"],
-                        chunk_id=int(row["chunk_id"]),
-                        predictor=predictor,
-                        **rep,
-                    )
-                ]
+    def fn(row, arr):
+        rep = sample_error_report(arr, predictor, rate=rate, seed=seed)
+        return [
+            dict(
+                dataset=row["dataset"],
+                field=row["field"],
+                chunk_id=int(row["chunk_id"]),
+                predictor=predictor,
+                **rep,
             )
+        ]
 
-    return chunks.mapInPandas(run, schema=SAMPLE_SCHEMA)
+    return per_chunk(chunks, fn, SAMPLE_SCHEMA)

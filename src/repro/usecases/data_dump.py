@@ -26,14 +26,14 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
 from .. import analysis
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 from ..sci_data import rtm_snapshot
-from ..sparklayer.chunks import array_to_chunks, chunk_to_array
+from ..sparklayer.chunks import array_to_chunks, per_chunk
 
 __all__ = [
     "DUMP_SCHEMA",
@@ -177,72 +177,67 @@ def dump_snapshot(
     gr = float(global_range) if global_range is not None else snap_range
     mse_budget = gr * gr * 10.0 ** (-target_psnr_db / 10.0)
 
-    def run(batches):
-        for pdf in batches:
-            rows = []
-            for _, row in pdf.iterrows():
-                arr = chunk_to_array(row)
-                cid = int(row["chunk_id"])
-                t_opt = 0.0
-                if method == "traditional":
-                    if trad_abs is None:
-                        raise ValueError("traditional method needs traditional_abs_eb")
-                    eb = trad_abs
-                elif method == "tae":
-                    t0 = time.perf_counter()
-                    eb = cand[-1]  # fallback: strictest candidate
-                    for eb_try in cand:  # largest (cheapest) first
-                        c = pipeline.compress(arr, predictor, eb_try)
-                        rec = pipeline.decompress(c)
-                        mse = float(np.mean((np.asarray(arr, np.float64) - rec) ** 2))
-                        if mse <= mse_budget:
-                            eb = eb_try
-                            break
-                    t_opt = time.perf_counter() - t0
-                elif method == "model":
-                    t0 = time.perf_counter()
-                    model = RatioQualityModel(arr, predictor, seed=t + cid)
-                    # ~20% MSE headroom absorbs model-estimation error
-                    # (cf. the 20% bit-rate headroom of use-case 2)
-                    eb = model.error_bound_for_mse(0.8 * mse_budget)
-                    t_opt = time.perf_counter() - t0
-                else:
-                    raise ValueError(f"unknown method {method!r}")
-                t0 = time.perf_counter()
-                c = pipeline.compress(arr, predictor, eb)
-                nbytes = c.nbytes_lossless
-                t_comp = time.perf_counter() - t0
-                path = os.path.join(outdir, f"t{t}_{method}_p{cid}.bin")
-                t0 = time.perf_counter()
-                _write_partition(path, c)
-                t_io = time.perf_counter() - t0
-                if io_bytes_per_second is not None:
-                    budget = nbytes / io_bytes_per_second
-                    if budget > t_io:
-                        time.sleep(budget - t_io)
-                        t_io = budget
+    def fn(row, arr):
+        cid = int(row["chunk_id"])
+        t_opt = 0.0
+        if method == "traditional":
+            if trad_abs is None:
+                raise ValueError("traditional method needs traditional_abs_eb")
+            eb = trad_abs
+        elif method == "tae":
+            t0 = time.perf_counter()
+            eb = cand[-1]  # fallback: strictest candidate
+            for eb_try in cand:  # largest (cheapest) first
+                c = pipeline.compress(arr, predictor, eb_try)
                 rec = pipeline.decompress(c)
-                a64 = np.asarray(arr, np.float64)
-                rows.append(
-                    dict(
-                        t=t,
-                        method=method,
-                        chunk_id=cid,
-                        opt_seconds=t_opt,
-                        compress_seconds=t_comp,
-                        io_seconds=t_io,
-                        nbytes=int(nbytes),
-                        eb_abs=float(eb),
-                        psnr=analysis.psnr(arr, rec),
-                        mse=float(np.mean((a64 - rec) ** 2)),
-                        n_points=int(arr.size),
-                        vmin=float(a64.min()),
-                        vmax=float(a64.max()),
-                    )
-                )
-            yield pd.DataFrame(rows)
+                mse = float(np.mean((np.asarray(arr, np.float64) - rec) ** 2))
+                if mse <= mse_budget:
+                    eb = eb_try
+                    break
+            t_opt = time.perf_counter() - t0
+        elif method == "model":
+            t0 = time.perf_counter()
+            model = RatioQualityModel(arr, predictor, seed=t + cid)
+            # ~20% MSE headroom absorbs model-estimation error
+            # (cf. the 20% bit-rate headroom of use-case 2)
+            eb = model.error_bound_for_mse(0.8 * mse_budget)
+            t_opt = time.perf_counter() - t0
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        t0 = time.perf_counter()
+        c = pipeline.compress(arr, predictor, eb)
+        nbytes = c.nbytes_lossless
+        t_comp = time.perf_counter() - t0
+        path = os.path.join(outdir, f"t{t}_{method}_p{cid}.bin")
+        t0 = time.perf_counter()
+        _write_partition(path, c)
+        t_io = time.perf_counter() - t0
+        if io_bytes_per_second is not None:
+            budget = nbytes / io_bytes_per_second
+            if budget > t_io:
+                time.sleep(budget - t_io)
+                t_io = budget
+        rec = pipeline.decompress(c)
+        a64 = np.asarray(arr, np.float64)
+        return [
+            dict(
+                t=t,
+                method=method,
+                chunk_id=cid,
+                opt_seconds=t_opt,
+                compress_seconds=t_comp,
+                io_seconds=t_io,
+                nbytes=int(nbytes),
+                eb_abs=float(eb),
+                psnr=analysis.psnr(arr, rec),
+                mse=float(np.mean((a64 - rec) ** 2)),
+                n_points=int(arr.size),
+                vmin=float(a64.min()),
+                vmax=float(a64.max()),
+            )
+        ]
 
-    return chunks.mapInPandas(run, schema=DUMP_SCHEMA).toPandas()
+    return per_chunk(chunks, fn, DUMP_SCHEMA).toPandas()
 
 
 def offline_worstcase_abs_eb(

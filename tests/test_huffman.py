@@ -60,7 +60,8 @@ def test_optimality_vs_entropy():
 def test_bitrate_dominant_symbol_min_one_bit():
     stream = np.concatenate([np.zeros(10000, np.int64), np.arange(1, 4)])
     c = huffman.build(stream)
-    assert c.length_of(0) == 1  # can't go below 1 bit/symbol
+    assert c.symbols[0] == 0
+    assert c.lengths[0] == 1  # can't go below 1 bit/symbol
 
 
 def test_build_from_histogram_matches_stream():
@@ -102,7 +103,8 @@ def test_skewed_distribution_shorter_codes_for_frequent():
         [np.zeros(1000, np.int64), np.ones(100, np.int64), np.full(10, 2, np.int64)]
     )
     c = huffman.build(stream)
-    assert c.length_of(0) <= c.length_of(1) <= c.length_of(2)
+    assert list(c.symbols) == [0, 1, 2]
+    assert c.lengths[0] <= c.lengths[1] <= c.lengths[2]
 
 
 def test_codebook_bytes():

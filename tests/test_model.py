@@ -83,6 +83,20 @@ def test_error_bound_for_psnr_roundtrip(field_data):
     assert meas >= 58.0
 
 
+@pytest.mark.parametrize("pred", PREDS)
+def test_error_bound_for_mse_brackets_target(field_data, pred):
+    """The returned bound meets the MSE budget and 0.1% more does not (the
+    solver's stopping bracket), for a 56 dB budget that lands strictly
+    inside the search range [range·1e-9, range]."""
+    d = field_data[("SCALE", "PRES")]
+    m = RatioQualityModel(d, pred, seed=8)
+    target = m.value_range**2 * 10.0 ** (-56.0 / 10.0)
+    eb = m.error_bound_for_mse(target)
+    assert m.value_range * 1e-9 < eb < m.value_range
+    assert m._sigma_e2(eb) <= target
+    assert m._sigma_e2(eb * 1.001) > target
+
+
 def test_uniform_only_baseline_differs_at_high_eb(field_data):
     """The prior-work uniform-distribution baseline (dashed lines in
     Figs. 6/8) must coincide at low error bounds and diverge at high ones
@@ -126,13 +140,6 @@ def test_model_deterministic(field_data):
     a = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)
     b = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)
     assert a == b
-
-
-def test_estimate_many(field_data):
-    d = field_data[("SCALE", "PRES")]
-    m = RatioQualityModel(d, "lorenzo", seed=12)
-    out = m.estimate_many([m.abs_bound(r) for r in (1e-3, 1e-2)])
-    assert len(out) == 2
 
 
 def test_fft_estimate(field_data):

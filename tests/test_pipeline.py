@@ -4,6 +4,7 @@ import pytest
 
 from repro import sci_data
 from repro.compressor import pipeline
+from repro.compressor.predictors import PREDICTORS
 
 PREDS = ["lorenzo", "interp", "regression"]
 
@@ -17,6 +18,15 @@ def test_roundtrip_error_bounded(pred, ds, fld):
     c = pipeline.compress(d, pred, eb)
     rec = pipeline.decompress(c)
     assert np.max(np.abs(rec - np.asarray(d, np.float64))) <= eb + 1e-5 * rng
+
+
+@pytest.mark.parametrize("pred", sorted(PREDICTORS))
+@pytest.mark.parametrize("eb", [0.0, -0.1])
+def test_compress_rejects_nonpositive_eb(pred, eb):
+    """eb <= 0 has no error-bounded encoding; it must fail, not emit codes."""
+    d = np.random.default_rng(0).normal(size=(16, 16))
+    with pytest.raises(ValueError):
+        pipeline.compress(d, pred, eb)
 
 
 @pytest.mark.parametrize("pred", PREDS)

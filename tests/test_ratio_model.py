@@ -72,25 +72,3 @@ def test_invert_bitrate_clamps_to_range():
     est = lambda e: 4.0  # noqa: E731  (flat curve)
     assert R.invert_bitrate(est, 10.0, 1e-5, 1e-1) == pytest.approx(1e-5)
     assert R.invert_bitrate(est, 1.0, 1e-5, 1e-1) == pytest.approx(1e-1)
-
-
-def test_anchor_curve_profiles_requested_p0():
-    rng = np.random.default_rng(1)
-    errs = rng.normal(size=20000)
-    wts = np.ones_like(errs)
-    anchors = R.huffman_anchor_curve(errs, wts)
-    assert [a[0] for a in anchors] == [0.5, 0.8, 0.95]
-    # widening the central bin: higher p0 ⇒ larger eb, smaller B
-    ebs = [a[1] for a in anchors]
-    bs = [a[2] for a in anchors]
-    assert ebs[0] < ebs[1] < ebs[2]
-    assert bs[0] >= bs[1] >= bs[2]
-
-
-def test_anchor_curve_eb_matches_quantile():
-    rng = np.random.default_rng(2)
-    errs = rng.uniform(-1, 1, 50000)
-    wts = np.ones_like(errs)
-    anchors = R.huffman_anchor_curve(errs, wts, anchors=(0.5,))
-    # for U(-1,1), |err| ≤ 0.5 holds for 50% of mass
-    assert anchors[0][1] == pytest.approx(0.5, abs=0.02)

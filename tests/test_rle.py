@@ -1,77 +1,17 @@
-"""Tests for zero-RLE and the lossless stage (§III-C-2 substrate)."""
+"""Tests for the lossless stage (§III-C-2 substrate)."""
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.compressor.rle import (
-    C1_BITS,
-    MAX_RUN,
-    lossless_bytes,
-    rle_zero_decode,
-    rle_zero_encode,
-)
-
-
-def _roundtrip(codes):
-    t, r = rle_zero_encode(np.asarray(codes, np.int64))
-    return rle_zero_decode(t, r)
-
-
-def test_empty():
-    t, r = rle_zero_encode(np.array([], np.int64))
-    assert t.size == 0 and r.size == 0
-
-
-def test_all_zero():
-    codes = np.zeros(10, np.int64)
-    t, r = rle_zero_encode(codes)
-    assert list(t) == [0] and list(r) == [10]
-    np.testing.assert_array_equal(_roundtrip(codes), codes)
-
-
-def test_no_zero():
-    codes = np.array([1, 2, 2, 3], np.int64)
-    t, r = rle_zero_encode(codes)
-    np.testing.assert_array_equal(t, codes)
-    assert (r == 0).all()
-
-
-def test_mixed():
-    codes = np.array([0, 0, 5, 0, -1, -1, 0, 0, 0], np.int64)
-    t, r = rle_zero_encode(codes)
-    assert list(t) == [0, 5, 0, -1, -1, 0]
-    assert list(r) == [2, 0, 1, 0, 0, 3]
-    np.testing.assert_array_equal(_roundtrip(codes), codes)
-
-
-def test_long_run_split_at_max():
-    codes = np.zeros(MAX_RUN * 2 + 7, np.int64)
-    t, r = rle_zero_encode(codes)
-    assert list(r) == [MAX_RUN, MAX_RUN, 7]
-    np.testing.assert_array_equal(_roundtrip(codes), codes)
-
-
-def test_exact_max_run_no_empty_token():
-    codes = np.zeros(MAX_RUN, np.int64)
-    t, r = rle_zero_encode(codes)
-    assert list(r) == [MAX_RUN]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=0, max_size=600))
-def test_roundtrip_property(vals):
-    codes = np.array(vals, np.int64)
-    np.testing.assert_array_equal(_roundtrip(codes), codes)
+from repro.compressor import huffman
+from repro.compressor.rle import lossless_bytes
 
 
 def test_zero_dominant_stream_shrinks():
-    """Zero-dominated streams must collapse dramatically (the effect the
-    paper's Eq. 4 models)."""
+    """Zero-dominated streams must collapse dramatically in the lossless
+    stage over the Huffman bitstream (the effect the paper's Eq. 4 models)."""
     rng = np.random.default_rng(0)
     codes = np.where(rng.random(10000) < 0.98, 0, 1).astype(np.int64)
-    t, r = rle_zero_encode(codes)
-    assert t.size < 0.1 * codes.size
+    payload = huffman.build(codes).encode(codes)
+    assert lossless_bytes(payload) < 0.3 * len(payload)
 
 
 def test_lossless_bytes_compresses_redundant_payload():
@@ -82,7 +22,3 @@ def test_lossless_bytes_compresses_redundant_payload():
 def test_lossless_bytes_incompressible_payload():
     payload = np.random.default_rng(1).integers(0, 256, 10000, dtype=np.uint8).tobytes()
     assert lossless_bytes(payload) > 9000
-
-
-def test_c1_constant_consistent_with_max_run():
-    assert MAX_RUN == (1 << C1_BITS) - 1
