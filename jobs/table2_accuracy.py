@@ -1,8 +1,10 @@
 """Table II: accuracy of the ratio-quality model on all 17 dataset fields.
 
-For every field: chunk it (Spark), run the model (executor-side, 1% sample)
-and the real compressor across the 7-error-bound sweep, join the two metric
-streams in Spark SQL, and compute the paper's Eq. 20 error per column:
+For every field: chunk it (Spark), then run the model (executor-side, 1%
+sample), the real compressor across the 7-error-bound sweep and the sample
+report in one executor pass over the chunks (``table2_metrics``). Spark SQL
+splits that one stored output by ``kind``, joins estimates to measurements
+and computes the paper's Eq. 20 error per column:
 
   Sample Err. | Huff Err. | Lossless Err. | Huff+LL Err. | PSNR Err. | SSIM Err.
 
@@ -25,24 +27,28 @@ from pyspark.sql import functions as F
 from repro import analysis, sci_data
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
-from repro.sparklayer import array_to_chunks, estimate_metrics, measure_metrics, sample_reports
+from repro.sparklayer import CHUNK_SCHEMA, table2_metrics
+from repro.sparklayer.chunks import chunk_rows
+
+# Not called by ``main``; the benchmark's traced pass (perfbench/wl_table2.py)
+# swaps these names on this module while it times each stream on its own.
+from repro.sparklayer import estimate_metrics, measure_metrics, sample_reports  # noqa: F401
 
 from _common import emit, get_spark
 
 
 def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -> DataFrame:
-    """All 17 Table II fields as one chunk DataFrame."""
-    dfs = [
-        array_to_chunks(
-            spark, spec.dataset, spec.field,
-            sci_data.generate(spec.dataset, spec.field, scale), n_chunks,
-        )
+    """All 17 Table II fields as one chunk DataFrame, dealt round-robin over
+    about two partitions per core so every task carries several chunks."""
+    rows = [
+        r
         for spec in sci_data.FIELDS
+        for r in chunk_rows(
+            spec.dataset, spec.field, sci_data.generate(spec.dataset, spec.field, scale), n_chunks
+        )
     ]
-    out = dfs[0]
-    for d in dfs[1:]:
-        out = out.unionByName(d)
-    return out
+    df = spark.createDataFrame(pd.DataFrame(rows), schema=CHUNK_SCHEMA)
+    return df.repartition(min(len(rows), 2 * spark.sparkContext.defaultParallelism))
 
 
 def _eq20_sql(col: str) -> F.Column:
@@ -52,18 +58,21 @@ def _eq20_sql(col: str) -> F.Column:
 
 
 def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") -> pd.DataFrame:
-    chunks = build_corpus(spark, scale).cache()
-    est = estimate_metrics(chunks, [predictor], EB_SWEEP_REL, seed=7)
-    meas = measure_metrics(chunks, [predictor], EB_SWEEP_REL)
+    # Kept in executor memory as cache() would, but with the corpus shuffle cut
+    # from the lineage: later jobs do not list that shuffle again, and the join
+    # does not schedule one materializing stage per side.
+    rows = table2_metrics(
+        build_corpus(spark, scale), [predictor], EB_SWEEP_REL, sample_rate=0.01, seed=7
+    ).localCheckpoint()
     keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
-    e = est.select(
+    e = rows.filter(F.col("kind") == "est").select(
         *keys,
         F.col("bitrate_huff").alias("e_huff"),
         F.col("bitrate_ll").alias("e_ll"),
         F.col("psnr").alias("e_psnr"),
         F.col("ssim").alias("e_ssim"),
     )
-    m = meas.select(
+    m = rows.filter(F.col("kind") == "meas").select(
         *keys,
         F.col("bitrate_huff").alias("m_huff"),
         F.col("bitrate_ll").alias("m_ll"),
@@ -89,7 +98,7 @@ def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") 
         ).otherwise(
             (F.lit(1.0) - F.col("m_ssim")) / (F.lit(1.0) - F.col("e_ssim"))
         ).alias("r_ssim_dist"),
-    ).cache()
+    )
     agg = (
         j.groupBy("dataset", "field")
         .agg(
@@ -103,7 +112,7 @@ def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") 
         .toPandas()
     )
     samp = (
-        sample_reports(chunks, predictor, rate=0.01, seed=7)
+        rows.filter(F.col("kind") == "sample")
         .groupBy("dataset", "field")
         .agg(F.avg("sample_err").alias("sample_err"))
         .toPandas()

@@ -12,6 +12,7 @@ import numpy as np
 from ..compressor.huffman import codebook_bytes
 from ..compressor.pipeline import HEADER_BYTES
 from ..compressor.predictors import get_predictor
+from ..compressor.quantizer import check_bound
 from . import histogram, quality_model, ratio_model
 from .sampling import sample_values
 
@@ -87,8 +88,10 @@ class RatioQualityModel:
 
         ``uniform_only=True`` reproduces the prior-work baseline that models
         the error distribution as purely uniform (Eq. 10 without Eq. 11 —
-        the dashed lines of Figs. 6/8).
+        the dashed lines of Figs. 6/8). Raises ``ValueError`` for
+        ``eb_abs <= 0``, as ``compress`` does.
         """
+        check_bound(eb_abs)
         syms, cnts = self._hist(eb_abs)
         p0 = histogram.p0_of(syms, cnts)
         b_code = ratio_model.huffman_bitrate(cnts)
@@ -163,6 +166,8 @@ class RatioQualityModel:
 
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray, uniform_only: bool = False) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the
-        original data's radial spectrum (one-time analysis setup)."""
+        original data's radial spectrum (one-time analysis setup). Raises
+        ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
+        check_bound(eb_abs)
         s2 = self._sigma_e2(eb_abs, uniform_only)
         return quality_model.fft_rel_error_est(s2, self.n_points, pk, modes_per_bin)

@@ -4,6 +4,8 @@ A chunk row is ``(dataset, field, chunk_id, dims, dtype, values)`` where
 ``values`` is the raw little-endian buffer of a C-contiguous array of shape
 ``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds a
 contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
+``chunk_rows`` cuts one field; ``array_to_chunks`` turns one field into a
+DataFrame, and the Table II job puts every field's rows into a single one.
 ``per_chunk`` is the one place per-chunk work enters the Spark executors.
 """
 from __future__ import annotations

@@ -1,17 +1,22 @@
 """Per-partition ratio-quality modeling and ground-truth compression,
 as ``per_chunk`` transformations over chunk DataFrames.
 
-``estimate_metrics`` runs the paper's model (one-time 1% sample per chunk ×
-predictor, then per-error-bound estimates); ``measure_metrics`` runs the
-real SZ3-lite compressor (the trial-and-error unit of work) and measures
-ratio + post-hoc quality. Both emit one row per (chunk, predictor, eb) with
-identical schema so they join/diff in Spark SQL; wall-clock columns feed the
+Three module-level generators turn one chunk and one predictor into rows:
+``_estimate_rows`` runs the paper's model (one-time 1% sample, then
+per-error-bound estimates), ``_measure_rows`` runs the real SZ3-lite
+compressor (the trial-and-error unit of work) and measures ratio + post-hoc
+quality, and ``_sample_row`` reports the fidelity of the sampled
+prediction-error distribution. ``estimate_metrics``, ``measure_metrics`` and
+``sample_reports`` each run one of them over every chunk; ``table2_metrics``
+runs all three in a single executor pass, so each chunk is deserialized once
+and the Table II job has one Python-worker stage. Estimate and measure rows
+share one schema so they join/diff in Spark SQL; wall-clock columns feed the
 overhead study (Fig. 9 / Table E1).
 """
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -22,7 +27,14 @@ from ..core.model import RatioQualityModel
 from ..core.sampling import sample_error_report
 from .chunks import per_chunk
 
-__all__ = ["METRIC_SCHEMA", "estimate_metrics", "measure_metrics", "sample_reports"]
+__all__ = [
+    "METRIC_SCHEMA",
+    "TABLE2_SCHEMA",
+    "estimate_metrics",
+    "measure_metrics",
+    "sample_reports",
+    "table2_metrics",
+]
 
 METRIC_SCHEMA = T.StructType(
     [
@@ -43,6 +55,31 @@ METRIC_SCHEMA = T.StructType(
     ]
 )
 
+SAMPLE_SCHEMA = T.StructType(
+    [
+        T.StructField("dataset", T.StringType(), False),
+        T.StructField("field", T.StringType(), False),
+        T.StructField("chunk_id", T.IntegerType(), False),
+        T.StructField("predictor", T.StringType(), False),
+        T.StructField("std_full", T.DoubleType(), False),
+        T.StructField("std_sample", T.DoubleType(), False),
+        T.StructField("sample_err", T.DoubleType(), False),
+    ]
+)
+
+_ALWAYS_SET = {"dataset", "field", "chunk_id", "predictor", "kind", "n_points", "seconds"}
+
+#: ``METRIC_SCHEMA`` plus the sample report. "est" and "meas" rows leave the
+#: report columns null; "sample" rows leave the bound and metric columns null.
+TABLE2_SCHEMA = T.StructType(
+    [
+        T.StructField(f.name, f.dataType, f.name not in _ALWAYS_SET)
+        for f in METRIC_SCHEMA.fields + SAMPLE_SCHEMA.fields[4:]
+    ]
+)
+
+_NO_METRICS = dict.fromkeys(("bitrate_huff", "bitrate_ll", "p0", "psnr", "ssim"))
+
 
 def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
     return dict(
@@ -60,6 +97,48 @@ def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
         psnr=m["psnr"],
         ssim=m["ssim"],
         seconds=seconds,
+    )
+
+
+def _estimate_rows(
+    row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], sample_rate: float, seed: int
+) -> Iterator[dict]:
+    """One chunk's model rows for ``predictor``, one per error bound
+    (``seconds`` as in ``estimate_metrics``)."""
+    t0 = time.perf_counter()
+    model = RatioQualityModel(arr, predictor, sample_rate=sample_rate, seed=seed)
+    t_build = time.perf_counter() - t0
+    for i, ebr in enumerate(ebs_rel):
+        t0 = time.perf_counter()
+        est = model.estimate(model.abs_bound(ebr))
+        dt = time.perf_counter() - t0 + (t_build if i == 0 else 0.0)
+        yield _metric_row(row, arr, predictor, "est", ebr, est["eb_abs"], est, dt)
+
+
+def _measure_rows(
+    row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], with_ssim: bool
+) -> Iterator[dict]:
+    """One chunk's ground-truth rows for ``predictor``, one trial per error
+    bound."""
+    d = np.asarray(arr, dtype=np.float64)
+    vrange = float(d.max() - d.min())
+    ssim_ok = with_ssim and arr.ndim in (2, 3)
+    for ebr in ebs_rel:
+        eb_abs = ebr * vrange
+        t0 = time.perf_counter()
+        m = pipeline.measure(arr, predictor, eb_abs, with_ssim=ssim_ok)
+        dt = time.perf_counter() - t0
+        yield _metric_row(row, arr, predictor, "meas", ebr, eb_abs, m, dt)
+
+
+def _sample_row(row, arr: np.ndarray, predictor: str, rate: float, seed: int) -> dict:
+    """One chunk's Table II "Sample Err." report for ``predictor``."""
+    return dict(
+        dataset=row["dataset"],
+        field=row["field"],
+        chunk_id=int(row["chunk_id"]),
+        predictor=predictor,
+        **sample_error_report(arr, predictor, rate=rate, seed=seed),
     )
 
 
@@ -82,14 +161,7 @@ def estimate_metrics(
 
     def fn(row, arr):
         for p in preds:
-            t0 = time.perf_counter()
-            model = RatioQualityModel(arr, p, sample_rate=sample_rate, seed=seed)
-            t_build = time.perf_counter() - t0
-            for i, ebr in enumerate(ebs):
-                t0 = time.perf_counter()
-                est = model.estimate(model.abs_bound(ebr))
-                dt = time.perf_counter() - t0 + (t_build if i == 0 else 0.0)
-                yield _metric_row(row, arr, p, "est", ebr, est["eb_abs"], est, dt)
+            yield from _estimate_rows(row, arr, p, ebs, sample_rate, seed)
 
     return per_chunk(chunks, fn, METRIC_SCHEMA)
 
@@ -106,31 +178,10 @@ def measure_metrics(
     ebs = [float(e) for e in ebs_rel]
 
     def fn(row, arr):
-        d = np.asarray(arr, dtype=np.float64)
-        vrange = float(d.max() - d.min())
-        ssim_ok = with_ssim and arr.ndim in (2, 3)
         for p in preds:
-            for ebr in ebs:
-                eb_abs = ebr * vrange
-                t0 = time.perf_counter()
-                m = pipeline.measure(arr, p, eb_abs, with_ssim=ssim_ok)
-                dt = time.perf_counter() - t0
-                yield _metric_row(row, arr, p, "meas", ebr, eb_abs, m, dt)
+            yield from _measure_rows(row, arr, p, ebs, with_ssim)
 
     return per_chunk(chunks, fn, METRIC_SCHEMA)
-
-
-SAMPLE_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType(), False),
-        T.StructField("field", T.StringType(), False),
-        T.StructField("chunk_id", T.IntegerType(), False),
-        T.StructField("predictor", T.StringType(), False),
-        T.StructField("std_full", T.DoubleType(), False),
-        T.StructField("std_sample", T.DoubleType(), False),
-        T.StructField("sample_err", T.DoubleType(), False),
-    ]
-)
 
 
 def sample_reports(
@@ -138,17 +189,36 @@ def sample_reports(
 ) -> DataFrame:
     """Table II "Sample Err." rows: fidelity of the sampled prediction-error
     distribution per chunk (std deviation relative to value range)."""
+    return per_chunk(
+        chunks, lambda row, arr: [_sample_row(row, arr, predictor, rate, seed)], SAMPLE_SCHEMA
+    )
+
+
+def table2_metrics(
+    chunks: DataFrame,
+    predictors: Sequence[str],
+    ebs_rel: Sequence[float],
+    sample_rate: float = 0.01,
+    seed: int = 0,
+) -> DataFrame:
+    """``estimate_metrics``, ``measure_metrics`` (with SSIM) and
+    ``sample_reports`` in one executor pass, as ``TABLE2_SCHEMA`` rows.
+
+    Per chunk and predictor it emits the "est" rows, the "meas" rows and one
+    "sample" row whose ``seconds`` is the report's cost; the model and the
+    sample report share ``sample_rate`` and ``seed``. Filter on ``kind`` to
+    get each stream back.
+    """
+    preds = list(predictors)
+    ebs = [float(e) for e in ebs_rel]
 
     def fn(row, arr):
-        rep = sample_error_report(arr, predictor, rate=rate, seed=seed)
-        return [
-            dict(
-                dataset=row["dataset"],
-                field=row["field"],
-                chunk_id=int(row["chunk_id"]),
-                predictor=predictor,
-                **rep,
-            )
-        ]
+        for p in preds:
+            yield from _estimate_rows(row, arr, p, ebs, sample_rate, seed)
+            yield from _measure_rows(row, arr, p, ebs, True)
+            t0 = time.perf_counter()
+            rep = _sample_row(row, arr, p, sample_rate, seed)
+            dt = time.perf_counter() - t0
+            yield _metric_row(row, arr, p, "sample", None, None, _NO_METRICS, dt) | rep
 
-    return per_chunk(chunks, fn, SAMPLE_SCHEMA)
+    return per_chunk(chunks, fn, TABLE2_SCHEMA)

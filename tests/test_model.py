@@ -3,7 +3,7 @@ end: accuracy against the real compressor and both inverse mappings."""
 import numpy as np
 import pytest
 
-from repro import sci_data
+from repro import analysis, sci_data
 from repro.compressor import pipeline
 from repro.core.model import RatioQualityModel
 
@@ -95,6 +95,20 @@ def test_error_bound_for_mse_brackets_target(field_data, pred):
     assert m.value_range * 1e-9 < eb < m.value_range
     assert m._sigma_e2(eb) <= target
     assert m._sigma_e2(eb * 1.001) > target
+
+
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize("eb", [0.0, -0.1])
+def test_estimates_reject_nonpositive_eb(field_data, pred, eb):
+    """The model refuses eb <= 0 with compress's ValueError instead of
+    returning a bit-rate and a NaN, infinite or made-up PSNR."""
+    d = field_data[("SCALE", "PRES")]
+    m = RatioQualityModel(d, pred, seed=3)
+    _, pk, modes = analysis.power_spectrum(np.asarray(d, np.float64))
+    with pytest.raises(ValueError, match="error bound must be positive"):
+        m.estimate(eb)
+    with pytest.raises(ValueError, match="error bound must be positive"):
+        m.estimate_fft(eb, pk, modes)
 
 
 def test_uniform_only_baseline_differs_at_high_eb(field_data):

@@ -16,7 +16,9 @@ from repro.sparklayer import (
     estimate_metrics,
     measure_metrics,
     sample_reports,
+    table2_metrics,
 )
+from repro.sparklayer.model_udf import METRIC_SCHEMA, SAMPLE_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,36 @@ def test_sample_reports_udf(spark, chunks_df):
     # test-scale chunks are ~2.3k points, so the sampling floor dominates;
     # bench-scale fidelity (paper's 0.12%) is checked in the Table II run
     assert (pdf["sample_err"] < 0.15).all()
+
+
+def test_table2_metrics_matches_separate_passes(spark, chunks_df):
+    """The fused Table II pass emits exactly the rows of the three separate
+    per-chunk passes (timings aside), tagged by ``kind``."""
+    preds, ebs = ["lorenzo", "interp"], [1e-3, 1e-2]
+    fused = table2_metrics(chunks_df, preds, ebs, seed=1).toPandas()
+    keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
+
+    def rows(pdf, cols, by):
+        return pdf[cols].sort_values(by).reset_index(drop=True)
+
+    metric_cols = [c for c in METRIC_SCHEMA.fieldNames() if c != "seconds"]
+    for kind, ref in (
+        ("est", estimate_metrics(chunks_df, preds, ebs, seed=1)),
+        ("meas", measure_metrics(chunks_df, preds, ebs)),
+    ):
+        got = fused[fused["kind"] == kind]
+        assert len(got) == 3 * 2 * 2
+        pd.testing.assert_frame_equal(
+            rows(got, metric_cols, keys), rows(ref.toPandas(), metric_cols, keys)
+        )
+    samp_cols = SAMPLE_SCHEMA.fieldNames()
+    ref = pd.concat(
+        [sample_reports(chunks_df, p, rate=0.01, seed=1).toPandas() for p in preds]
+    )
+    pd.testing.assert_frame_equal(
+        rows(fused[fused["kind"] == "sample"], samp_cols, keys[:4]),
+        rows(ref, samp_cols, keys[:4]),
+    )
 
 
 # ---------------------------------------------------------------------------
