@@ -33,12 +33,19 @@ def test_decompress(benchmark, field, eb):
     benchmark(pipeline.decompress, c)
 
 
-def test_huffman_build(benchmark, field, eb):
-    codes, _ = get_predictor("lorenzo").compress(field, eb)
+@pytest.fixture(scope="module", params=[1e-3, 1e-6], ids=["eb1e-3", "eb1e-6"])
+def codes(request, field):
+    """Lorenzo codes at eb = 1e-3 x range (25 distinct symbols, dense span)
+    and 1e-6 x range (5,995, span above the stream length: the heap-heavy
+    build and the sparse histogram/lookup fallbacks)."""
+    eb = request.param * float(field.max() - field.min())
+    return get_predictor("lorenzo").compress(field, eb)[0]
+
+
+def test_huffman_build(benchmark, codes):
     benchmark(huffman.build, codes)
 
 
-def test_huffman_encode_bitstream(benchmark, field, eb):
-    codes, _ = get_predictor("lorenzo").compress(field, eb)
+def test_huffman_encode_bitstream(benchmark, codes):
     code = huffman.build(codes)
     benchmark(code.encode, codes)

@@ -14,6 +14,7 @@ The lossless variant replaces the huffman payload with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,10 @@ class CompressedField:
             + HEADER_BYTES
         )
 
-    @property
+    @cached_property
     def nbytes_lossless(self) -> int:
-        """Total size with Huffman + lossless stage (zlib over bitstream)."""
+        """Total size with Huffman + lossless stage (zlib over bitstream),
+        compressed once per field."""
         ll = rle.lossless_bytes(self.payload)
         return (
             min(ll, -(-self.huffman_payload_bits // 8))
@@ -125,6 +127,7 @@ def measure(
     """
     c = compress(data, predictor, eb_abs)
     recon = decompress(c)
+    d = np.asarray(data, np.float64)
     out = {
         "predictor": predictor,
         "eb_abs": float(eb_abs),
@@ -133,11 +136,11 @@ def measure(
         "nbytes_huff": c.nbytes_huffman,
         "nbytes_ll": c.nbytes_lossless,
         "p0": c.p0,
-        "psnr": analysis.psnr(data, recon),
-        "max_err": float(np.max(np.abs(np.asarray(data, np.float64) - recon))),
+        "psnr": analysis.psnr(d, recon),
+        "max_err": float(np.max(np.abs(d - recon))),
     }
-    out["ssim"] = analysis.ssim_global(data, recon) if with_ssim else float("nan")
+    out["ssim"] = analysis.ssim_global(d, recon) if with_ssim else float("nan")
     out["fft_err"] = (
-        analysis.spectrum_rel_error(data, recon) if with_fft else float("nan")
+        analysis.spectrum_rel_error(d, recon) if with_fft else float("nan")
     )
     return out

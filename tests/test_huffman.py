@@ -109,3 +109,128 @@ def test_skewed_distribution_shorter_codes_for_frequent():
 
 def test_codebook_bytes():
     assert huffman.codebook_bytes(10) == 50
+
+
+# -- encoder vs a bit-string reference ---------------------------------------
+
+
+def _pack_reference(c, stream) -> bytes:
+    """MSB-first bit string of every codeword, zero-padded to whole bytes."""
+    pos = {int(s): i for i, s in enumerate(c.symbols)}
+    bits = "".join(
+        format(int(c.codes[pos[int(s)]]), "b").zfill(int(c.lengths[pos[int(s)]]))
+        for s in stream
+    )
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _check_encoding(c, stream):
+    payload = c.encode(stream)
+    assert payload == _pack_reference(c, stream)
+    np.testing.assert_array_equal(c.decode(payload, len(stream)), stream)
+
+
+def _fibonacci(k: int) -> np.ndarray:
+    f = [1, 1]
+    while len(f) < k:
+        f.append(f[-1] + f[-2])
+    return np.array(f[:k], dtype=np.int64)
+
+
+# symbols 0..m-1 with n >= m: the symbol span never exceeds the stream
+_dense_streams = st.integers(1, 40).flatmap(
+    lambda m: st.lists(st.integers(0, m - 1), min_size=m, max_size=400)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_streams, st.integers(-(10**6), 10**6))
+def test_encode_matches_reference_dense(vals, offset):
+    stream = np.array(vals, dtype=np.int64) + offset
+    _check_encoding(huffman.build(stream), stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=300))
+def test_encode_matches_reference_sparse(vals):
+    # span 100,001 > n: the lookup falls back to searchsorted
+    stream = np.array([-50, 50] + vals, dtype=np.int64) * 1000
+    _check_encoding(huffman.build(stream), stream)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-(2**40), 2**40), st.integers(1, 700))
+def test_encode_matches_reference_single_symbol(sym, n):
+    stream = np.full(n, sym, dtype=np.int64)
+    _check_encoding(huffman.build(stream), stream)
+
+
+def test_encode_empty_stream():
+    c = huffman.build(np.array([], dtype=np.int64))
+    assert c.encode(np.array([], dtype=np.int64)) == b""
+    c = huffman.build(np.array([3, 4, 4]))
+    assert c.encode(np.array([], dtype=np.int64)) == b""
+    assert len(c.decode(b"", 0)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(34, 64), st.data())
+def test_encode_matches_reference_long_codewords(k, data):
+    """Fibonacci counts give code lengths 1..k-1: codewords above 32 bits
+    that straddle 64-bit words at every possible offset."""
+    symbols = np.arange(k, dtype=np.int64) * 3 - 7
+    c = huffman.build(symbols, _fibonacci(k))
+    assert int(c.lengths.max()) == k - 1
+    # up to 300 symbols: both sides of the dense-span threshold (span 3k-2)
+    picks = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=300))
+    _check_encoding(c, symbols[picks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        _dense_streams,
+        st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=300),
+    )
+)
+def test_build_stream_matches_histogram(vals):
+    stream = np.array(vals, dtype=np.int64)
+    a = huffman.build(stream)
+    b = huffman.build(*np.unique(stream, return_counts=True))
+    for x, y in zip(
+        (a.symbols, a.counts, a.lengths, a.codes), (b.symbols, b.counts, b.lengths, b.codes)
+    ):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "symbols,stream",
+    [
+        ([0, 2], [0, 1, 2, 2, 0]),  # hole inside a dense span
+        ([0, 2], [0, 2, 2, 3]),  # above the span
+        ([0, 2], [-1, 0, 2, 2]),  # below the span
+        ([0, 10**6], [0, 5]),  # sparse span: searchsorted path
+        ([0, 10**6], [10**6 + 1]),
+        ([0, 10**6], [-(2**62)]),
+    ],
+)
+def test_encode_rejects_unknown_symbols(symbols, stream):
+    c = huffman.build(np.array(symbols), np.ones(len(symbols), np.int64))
+    with pytest.raises(ValueError):
+        c.encode(np.array(stream, dtype=np.int64))
+
+
+def test_encode_rejects_empty_code():
+    c = huffman.build(np.array([], dtype=np.int64))
+    with pytest.raises(ValueError):
+        c.encode(np.array([1]))
+
+
+def test_encode_rejects_codewords_over_64_bits():
+    c = huffman.build(np.arange(70), _fibonacci(70))
+    assert int(c.lengths.max()) == 69
+    assert c.total_bits > 0
+    with pytest.raises(ValueError):
+        c.encode(np.zeros(4, dtype=np.int64))

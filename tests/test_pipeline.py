@@ -109,3 +109,15 @@ def test_payload_is_real_bitstream():
     np.testing.assert_array_equal(
         c.code.decode(c.payload, c.codes.size), c.codes
     )
+
+
+def test_measure_runs_lossless_stage_once(monkeypatch):
+    from repro.compressor import rle
+
+    calls = []
+    real = rle.lossless_bytes
+    monkeypatch.setattr(rle, "lossless_bytes", lambda p: calls.append(1) or real(p))
+    d = sci_data.generate("CESM", "TS", "test")
+    m = pipeline.measure(d, "lorenzo", 1e-3 * float(d.max() - d.min()))
+    assert len(calls) == 1
+    assert m["bitrate_ll"] == pytest.approx(8.0 * m["nbytes_ll"] / d.size)
