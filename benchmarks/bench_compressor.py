@@ -49,3 +49,21 @@ def test_huffman_build(benchmark, codes):
 def test_huffman_encode_bitstream(benchmark, codes):
     code = huffman.build(codes)
     benchmark(code.encode, codes)
+
+
+def test_huffman_decode(benchmark, codes):
+    code = huffman.build(codes)
+    payload = code.encode(codes)
+    out = benchmark(code.decode, payload, codes.size)
+    assert np.array_equal(out, codes)
+
+
+@pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
+def test_to_bytes_from_bytes(benchmark, field, eb, pred):
+    c = pipeline.compress(field, pred, eb)
+
+    def roundtrip():
+        return pipeline.from_bytes(pipeline.to_bytes(c))
+
+    back = benchmark(roundtrip)
+    assert np.array_equal(back.codes, c.codes)

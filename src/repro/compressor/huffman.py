@@ -1,10 +1,9 @@
 """Canonical Huffman coder over integer quantization codes (§III-C-1).
 
 Provides an exact *size* computation (Σ freq·len — identical to the size
-of a real encoding, used by the measurement harness at benchmark scale), a
-real bitstream encoder (the lossless stage compresses its packed output),
-and a per-bit reference decoder that the round-trip tests check the encoder
-against (``pipeline.decompress`` reuses the in-memory codes instead).
+of a real encoding), a bitstream encoder, and the decoder that
+``pipeline.from_bytes`` reads stored blobs with (``pipeline.decompress``
+reuses the in-memory codes).
 
 Building and encoding cost a few numpy passes over the stream; Python loops
 run only over the distinct symbols:
@@ -21,7 +20,13 @@ run only over the distinct symbols:
   codeword per word boundary that straddles it is split in two. The words
   are emitted big-endian and cut to ``ceil(bits / 8)`` bytes, the same bytes
   as MSB-first bit packing. Codewords are ``uint64``, so lengths above 64
-  bits are refused.
+  bits are refused;
+- decoder (canonical, as in cuSZ, Tian et al., PACT 2020): at every bit
+  position p the 64-bit big-endian window at byte ``p >> 3``, shifted left
+  by ``p & 7``, gives the code length by ``searchsorted`` on each length's
+  left-justified limit; pointer doubling on ``next = p + len`` collects the
+  n symbol starts. The window holds 57 bits, so longer codes are refused
+  (such a code needs at least F(59) ~ 9.6e11 symbols).
 """
 from __future__ import annotations
 
@@ -30,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HuffmanCode", "build", "codebook_bytes"]
+__all__ = ["HuffmanCode", "build", "codebook_bytes", "from_lengths"]
 
 _WORD_MASK = (1 << 64) - 1
+MAX_DECODE_BITS = 57  # data bits in a decoder window
 
 
 @dataclass
@@ -119,30 +125,62 @@ class HuffmanCode:
         return self.lengths[idx], self.codes[idx]
 
     def decode(self, data: bytes, n: int) -> np.ndarray:
-        """Decode ``n`` symbols from packed bytes (test-scale Python loop)."""
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        # canonical decode tables: first codeword / first symbol index per length
-        out = np.empty(n, dtype=np.int64)
-        order = np.argsort(self.lengths, kind="stable")
-        by_len: dict[int, dict[int, int]] = {}
-        for i in order:
-            by_len.setdefault(int(self.lengths[i]), {})[int(self.codes[i])] = int(
-                self.symbols[i]
-            )
-        pos = 0
-        for j in range(n):
-            code, ln = 0, 0
-            while True:
-                code = (code << 1) | int(bits[pos])
-                pos += 1
-                ln += 1
-                tab = by_len.get(ln)
-                if tab is not None and code in tab:
-                    out[j] = tab[code]
-                    break
-                if ln > 64:
-                    raise ValueError("corrupt Huffman stream")
-        return out
+        """Decode ``n`` symbols from packed bytes (MSB first, zero-padded).
+
+        Reads only ``symbols`` and ``lengths`` (codewords are canonical).
+        Raises ``ValueError`` for code lengths outside 1..57 or lengths that
+        oversubscribe the code space, for a bitstream that ends before ``n``
+        symbols or where no codeword starts, and for bytes after the last one.
+        """
+        lengths, nbits = self.lengths, 8 * len(data)
+        if n == 0 or lengths.size == 0:
+            if n or data:
+                raise ValueError("Huffman bitstream does not hold n symbols")
+            return np.empty(0, np.int64)
+        top = int(lengths.max())
+        if int(lengths.min()) < 1 or top > MAX_DECODE_BITS:
+            raise ValueError(f"Huffman code lengths must be 1..{MAX_DECODE_BITS}")
+        # per length: sorted index minus canonical codeword, and the
+        # left-justified limit below which a window starts a codeword this
+        # long or shorter
+        base, limits, code, done = [], [], 0, 0
+        for ln, m in enumerate(np.bincount(lengths)[1:].tolist(), 1):
+            base.append(done - code)
+            code, done = code + m, done + m
+            limits.append(code << (64 - ln))
+            code <<= 1
+        if limits[-1] > 1 << 64:
+            raise ValueError("Huffman code lengths oversubscribe the code space")
+        # a complete code's top limit is 2**64, above every window
+        limits = np.array(limits[: top - (limits[-1] >> 64)], np.uint64)
+        # the 64-bit big-endian window at each bit position p: the word at
+        # byte p >> 3 shifted left by p & 7 (at least 57 bits of data)
+        raw, word = np.frombuffer(data + bytes(7), np.uint8), np.zeros(len(data), np.uint64)
+        for j in range(8):
+            word = word << np.uint64(8) | raw[j : j + len(data)]
+        window = np.repeat(word, 8) << np.tile(np.arange(8, dtype=np.uint64), len(data))
+        # code length at each position, past the end where no codeword
+        # starts; position nbits is the absorbing end of the stream
+        length = np.searchsorted(limits, window, side="right") + 1
+        length[length > top] = nbits + 1
+        length = np.append(length, nbits + 1)
+        nxt = np.minimum(np.arange(nbits + 1) + length, nbits)
+        # pointer doubling: the first 2^k starts, then their 2^k-th successors
+        starts = np.zeros(1, np.int64)
+        while starts.size < n:
+            if starts.size > 1:
+                nxt = nxt[nxt]
+            starts = np.concatenate((starts, nxt[starts]))
+        starts = starts[:n]
+        end = int(starts[-1] + length[starts[-1]])
+        if end > nbits:
+            raise ValueError("Huffman bitstream ends before n symbols (or no codeword starts)")
+        if -(-end // 8) != len(data):
+            raise ValueError("bytes after the last Huffman codeword")
+        ln = length[starts]
+        idx = (window[starts] >> (64 - ln).astype(np.uint64)).astype(np.int64)
+        idx += np.array(base)[ln - 1]
+        return self.symbols[np.lexsort((self.symbols, lengths))[idx]]
 
 
 def build(stream_or_counts, counts: np.ndarray | None = None) -> HuffmanCode:
@@ -160,16 +198,18 @@ def build(stream_or_counts, counts: np.ndarray | None = None) -> HuffmanCode:
         symbols, cnts = symbols[keep], cnts[keep]
         order = np.argsort(symbols)
         symbols, cnts = symbols[order], cnts[order]
-    k = len(symbols)
-    if k == 0:
-        return HuffmanCode(symbols, cnts, np.empty(0, np.int64), np.empty(0, np.uint64))
-    if k == 1:
-        return HuffmanCode(
-            symbols, cnts, np.ones(1, np.int64), np.zeros(1, np.uint64)
-        )
-    lengths = _code_lengths(cnts.tolist())
-    # canonical code assignment: sort by (length, symbol); codewords longer
-    # than 64 bits keep their low 64 bits (``encode`` refuses such a code)
+    if len(symbols) > 1:
+        lengths = _code_lengths(cnts.tolist())
+    else:
+        lengths = np.ones(len(symbols), np.int64)
+    return from_lengths(symbols, lengths, cnts)
+
+
+def from_lengths(symbols, lengths, counts) -> HuffmanCode:
+    """The canonical code over sorted int64 ``symbols`` with these code
+    lengths (what a stored codebook holds). Codewords rise in (length,
+    symbol) order; codewords longer than 64 bits keep their low 64 bits
+    (``encode`` refuses such a code)."""
     order = np.lexsort((symbols, lengths))
     sorted_codes = []
     code = prev_len = 0
@@ -178,9 +218,9 @@ def build(stream_or_counts, counts: np.ndarray | None = None) -> HuffmanCode:
         sorted_codes.append(code & _WORD_MASK)
         code += 1
         prev_len = ln
-    codes = np.empty(k, dtype=np.uint64)
+    codes = np.empty(len(symbols), dtype=np.uint64)
     codes[order] = sorted_codes
-    return HuffmanCode(symbols, cnts, lengths, codes)
+    return HuffmanCode(symbols, counts, lengths, codes)
 
 
 def _dense(span: int, n: int) -> bool:

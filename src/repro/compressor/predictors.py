@@ -65,17 +65,23 @@ class _Base:
         """Number of quantization codes emitted for an array of ``shape``."""
         raise NotImplementedError
 
+    def side_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        """Shape of the float32 side array (anchors / regression
+        coefficients) stored next to the codes of an array of ``shape``."""
+        return (0,)
+
     def side_bytes(self, shape: tuple[int, ...]) -> int:
-        """Raw side-channel bytes (anchors / regression coefficients)."""
-        return 0
+        """Raw side-channel bytes (float32 side array)."""
+        return 4 * math.prod(self.side_shape(shape))
 
     # -- compressor-facing API -------------------------------------------
-    def compress(self, data: np.ndarray, eb: float) -> tuple[np.ndarray, dict]:
-        """→ (int64 quantization codes, extras needed for decompression)."""
+    def compress(self, data: np.ndarray, eb: float) -> tuple[np.ndarray, np.ndarray]:
+        """→ (int64 quantization codes, float32 side array of
+        ``side_shape(data.shape)``)."""
         raise NotImplementedError
 
     def decompress(
-        self, codes: np.ndarray, shape: tuple[int, ...], eb: float, extras: dict
+        self, codes: np.ndarray, shape: tuple[int, ...], eb: float, side: np.ndarray
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -112,9 +118,9 @@ class Lorenzo(_Base):
     def compress(self, data, eb):
         k = quantize(_as64(data), eb)  # lattice index of each point
         q = self._forward(k)
-        return q.ravel(), {}
+        return q.ravel(), np.empty(0, np.float32)
 
-    def decompress(self, codes, shape, eb, extras):
+    def decompress(self, codes, shape, eb, side):
         k = self._inverse(codes.reshape(shape).astype(np.int64))
         return dequantize(k, eb)
 
@@ -181,15 +187,12 @@ class Interpolation(_Base):
 
     name = "interp"
 
-    def _n_anchors(self, shape):
+    def side_shape(self, shape):
         s0 = _anchor_stride(shape)
-        return int(np.prod([len(range(0, n, s0)) for n in shape]))
+        return tuple(len(range(0, n, s0)) for n in shape)  # float32 anchors
 
     def coded_count(self, shape):
-        return int(np.prod(shape)) - self._n_anchors(shape)
-
-    def side_bytes(self, shape):
-        return 4 * self._n_anchors(shape)  # float32 anchors
+        return math.prod(shape) - math.prod(self.side_shape(shape))
 
     def compress(self, data, eb):
         d = _as64(data)
@@ -206,13 +209,13 @@ class Interpolation(_Base):
             r[tgt] = pred + dequantize(q, eb)
             parts.append(q.ravel())
         codes = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        return codes, {"anchors": anchors}
+        return codes, anchors
 
-    def decompress(self, codes, shape, eb, extras):
+    def decompress(self, codes, shape, eb, side):
         s0 = _anchor_stride(shape)
         anchors_sl = tuple(slice(0, None, s0) for _ in shape)
         r = np.zeros(shape, dtype=np.float64)
-        r[anchors_sl] = extras["anchors"].astype(np.float64)
+        r[anchors_sl] = side.astype(np.float64)
         pos = 0
         for s, ax, tgt, base, nt in _interp_groups(shape, s0):
             pred = _axis_mid_pred(r[base], nt, ax)
@@ -277,11 +280,11 @@ class Regression(_Base):
     def coded_count(self, shape):
         return int(np.prod(self._padded_shape(shape)))
 
-    def side_bytes(self, shape):
+    def side_shape(self, shape):
         bs = self._block_shape(len(shape))
-        nblocks = int(np.prod([p // b for p, b in zip(self._padded_shape(shape), bs)]))
+        nblocks = math.prod(p // b for p, b in zip(self._padded_shape(shape), bs))
         ncoef = 1 + sum(1 for b in bs if b > 1)
-        return 4 * ncoef * nblocks  # float32 coefficients
+        return (nblocks, ncoef)  # float32 coefficients
 
     def _to_blocks(self, d: np.ndarray) -> np.ndarray:
         """(…)-array → (nblocks, *block_shape), after edge padding."""
@@ -344,12 +347,11 @@ class Regression(_Base):
         coefs = self._fit(blocks)
         pred = self._predict(coefs, blocks.shape[1:])
         q = quantize(blocks - pred, eb)
-        return q.ravel(), {"coefs": coefs}
+        return q.ravel(), coefs
 
-    def decompress(self, codes, shape, eb, extras):
+    def decompress(self, codes, shape, eb, side):
         bs = self._block_shape(len(shape))
-        coefs = extras["coefs"]
-        pred = self._predict(coefs, bs)
+        pred = self._predict(side, bs)
         q = codes.reshape(pred.shape)
         return self._from_blocks(pred + dequantize(q, eb), shape)
 

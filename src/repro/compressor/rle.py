@@ -9,7 +9,8 @@ its calibrated run-token cost ``MODEL_C1_BITS``, lives in
 ``core.ratio_model``.
 
 The measured stage here is ``zlib`` (stdlib stand-in for Zstandard) over the
-packed Huffman bitstream.
+packed Huffman bitstream; ``pipeline.to_bytes`` stores its output as the
+blob's body whenever it is smaller than the bitstream.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import zlib
 __all__ = ["lossless_bytes"]
 
 
-def lossless_bytes(payload: bytes, level: int = 6) -> int:
-    """Size in bytes of the optional lossless stage over the Huffman
-    bitstream (zlib as the Zstandard stand-in; see DESIGN.md §2)."""
-    return len(zlib.compress(payload, level))
+def lossless_bytes(payload: bytes, level: int = 6) -> bytes:
+    """The optional lossless stage over the Huffman bitstream (zlib as the
+    Zstandard stand-in; see DESIGN.md §2)."""
+    return zlib.compress(payload, level)

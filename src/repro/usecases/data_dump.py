@@ -2,9 +2,12 @@
 stand-in on Spark.
 
 Each RTM snapshot is split across ``n_partitions`` chunks (one per "MPI
-rank"); inside executors each chunk is compressed and written to its own
-binary file on the shared local filesystem (the per-rank collective-write
-role of parallel HDF5). Three methods, as in Fig. 14:
+rank"); inside executors each chunk is compressed and its compressed blob
+(``pipeline.to_bytes``: header, codebook, side data and the zlib'd Huffman
+bitstream) is written to its own file on the shared local filesystem (the
+per-rank collective-write role of parallel HDF5). The bytes written are the
+bytes accounted (``nbytes``), and ``read_partition_file`` decodes them back.
+Three methods, as in Fig. 14:
 
 * **traditional** — one static offline error bound for every snapshot (the
   worst-case bound from an offline study; its cost is not part of dumping);
@@ -20,7 +23,6 @@ barrier), as in an MPI collective dump.
 from __future__ import annotations
 
 import os
-import struct
 import time
 from typing import Sequence
 
@@ -77,64 +79,10 @@ DUMP_SCHEMA = T.StructType(
     ]
 )
 
-_MAGIC = b"RQD1"
-
-
-def _write_partition(path: str, c: pipeline.CompressedField) -> int:
-    """Serialize one compressed chunk (header + codes as int32 + side data).
-
-    A real deployment would write the Huffman bitstream; serializing the
-    code array keeps the file self-describing for the round-trip check while
-    the *accounted* size (``nbytes``, what the ratio uses) remains the
-    Huffman+lossless size. I/O time is measured on the actual write.
-    """
-    codes = c.codes.astype(np.int32)
-    extras = c.extras.get("anchors", c.extras.get("coefs"))
-    extra_bytes = extras.astype(np.float32).tobytes() if extras is not None else b""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<d", c.eb_abs))
-        f.write(struct.pack("<B", len(c.shape)))
-        for s in c.shape:
-            f.write(struct.pack("<I", s))
-        name = c.predictor.encode()
-        f.write(struct.pack("<B", len(name)))
-        f.write(name)
-        f.write(struct.pack("<Q", codes.size))
-        f.write(struct.pack("<Q", len(extra_bytes)))
-        f.write(extra_bytes)
-        f.write(codes.tobytes())
-        f.flush()
-        os.fsync(f.fileno())
-    return os.path.getsize(path)
-
-
 def read_partition_file(path: str) -> np.ndarray:
-    """Decompress a partition file written by :func:`_write_partition`."""
-    from ..compressor.predictors import get_predictor
-
+    """Decompress a partition file written by :func:`dump_snapshot`."""
     with open(path, "rb") as f:
-        assert f.read(4) == _MAGIC, "bad magic"
-        (eb,) = struct.unpack("<d", f.read(8))
-        (nd,) = struct.unpack("<B", f.read(1))
-        shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(nd))
-        (ln,) = struct.unpack("<B", f.read(1))
-        predictor = f.read(ln).decode()
-        (ncodes,) = struct.unpack("<Q", f.read(8))
-        (nextra,) = struct.unpack("<Q", f.read(8))
-        extra = np.frombuffer(f.read(nextra), dtype=np.float32)
-        codes = np.frombuffer(f.read(4 * ncodes), dtype=np.int32)
-    pred = get_predictor(predictor)
-    extras: dict = {}
-    if predictor == "interp":
-        from ..compressor.predictors import _anchor_stride
-
-        s0 = _anchor_stride(shape)
-        ashape = tuple(len(range(0, n, s0)) for n in shape)
-        extras = {"anchors": extra.reshape(ashape)}
-    elif predictor == "regression":
-        extras = {"coefs": extra.reshape(-1, 1 + min(len(shape), 3))}
-    return pred.decompress(codes.astype(np.int64), shape, eb, extras)
+        return pipeline.decompress(pipeline.from_bytes(f.read()))
 
 
 def dump_snapshot(
@@ -206,11 +154,15 @@ def dump_snapshot(
             raise ValueError(f"unknown method {method!r}")
         t0 = time.perf_counter()
         c = pipeline.compress(arr, predictor, eb)
-        nbytes = c.nbytes_lossless
+        blob = pipeline.to_bytes(c)
+        nbytes = len(blob)
         t_comp = time.perf_counter() - t0
         path = os.path.join(outdir, f"t{t}_{method}_p{cid}.bin")
         t0 = time.perf_counter()
-        _write_partition(path, c)
+        with open(path, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
         t_io = time.perf_counter() - t0
         if io_bytes_per_second is not None:
             budget = nbytes / io_bytes_per_second

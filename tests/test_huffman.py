@@ -184,6 +184,26 @@ def test_encode_matches_reference_long_codewords(k, data):
     assert int(c.lengths.max()) == k - 1
     # up to 300 symbols: both sides of the dense-span threshold (span 3k-2)
     picks = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=300))
+    stream = symbols[picks]
+    if k - 1 <= 57:
+        _check_encoding(c, stream)
+    else:  # encodable, but longer than the decoder's 57-bit window
+        payload = c.encode(stream)
+        assert payload == _pack_reference(c, stream)
+        with pytest.raises(ValueError):
+            c.decode(payload, len(stream))
+
+
+@pytest.mark.parametrize("k", [34, 40, 47, 52, 58])
+def test_decode_long_codewords(k):
+    """Codewords of 33..57 bits at every bit offset: each symbol once in
+    rising, then falling order, then runs of the longest two."""
+    symbols = np.arange(k, dtype=np.int64) * 5 + 11
+    c = huffman.build(symbols, _fibonacci(k))
+    assert int(c.lengths.max()) == k - 1
+    picks = np.concatenate(
+        (np.arange(k), np.arange(k)[::-1], np.repeat([0, 1], 9), np.arange(k) % 7)
+    )
     _check_encoding(c, symbols[picks])
 
 

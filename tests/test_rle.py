@@ -11,14 +11,14 @@ def test_zero_dominant_stream_shrinks():
     rng = np.random.default_rng(0)
     codes = np.where(rng.random(10000) < 0.98, 0, 1).astype(np.int64)
     payload = huffman.build(codes).encode(codes)
-    assert lossless_bytes(payload) < 0.3 * len(payload)
+    assert len(lossless_bytes(payload)) < 0.3 * len(payload)
 
 
 def test_lossless_bytes_compresses_redundant_payload():
     payload = bytes(10000)  # all zero bytes
-    assert lossless_bytes(payload) < 200
+    assert len(lossless_bytes(payload)) < 200
 
 
 def test_lossless_bytes_incompressible_payload():
     payload = np.random.default_rng(1).integers(0, 256, 10000, dtype=np.uint8).tobytes()
-    assert lossless_bytes(payload) > 9000
+    assert len(lossless_bytes(payload)) > 9000

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.compressor import pipeline
 from repro.sci_data import rtm_snapshot
 from repro.usecases.data_dump import (
     candidate_abs_ebs,
@@ -56,6 +57,21 @@ def test_dump_snapshot_writes_decodable_partitions(spark, outdir, method):
         a, b = bounds[int(r["chunk_id"])], bounds[int(r["chunk_id"]) + 1]
         orig = np.asarray(d[a:b], np.float64)
         assert np.max(np.abs(rec - orig)) <= r["eb_abs"] * (1 + 1e-9)
+        # the file holds exactly the bytes the rank accounted
+        c = pipeline.compress(d[a:b], "lorenzo", r["eb_abs"])
+        assert os.path.getsize(path) == r["nbytes"] == c.nbytes_lossless
+
+
+def test_dump_snapshot_rejects_codes_outside_int32(spark, outdir):
+    """A 1e6-range field at eb = 1e-5 has Lorenzo codes beyond int32. The
+    dump must fail rather than write a file that breaks the bound."""
+    d = np.random.default_rng(0).normal(size=SHAPE)
+    d = (d - d.min()) / (d.max() - d.min()) * 1e6
+    with pytest.raises(Exception, match="int32"):
+        dump_snapshot(
+            spark, d, 7, outdir, "traditional", traditional_abs_eb=1e-5, n_partitions=1
+        )
+    assert not glob.glob(os.path.join(outdir, "t7_*"))
 
 
 def test_dump_model_and_tae_meet_quality_target(spark, outdir):
