@@ -2,9 +2,10 @@
 
 For every field: chunk it (Spark), then run the model (executor-side, 1%
 sample), the real compressor across the 7-error-bound sweep and the sample
-report in one executor pass over the chunks (``table2_metrics``). Spark SQL
-splits that one stored output by ``kind``, joins estimates to measurements
-and computes the paper's Eq. 20 error per column:
+report in one executor pass over the chunks (``table2_metrics``), one row
+per chunk and error bound with the estimate next to the measurement. One
+Spark SQL ``groupBy`` (``table2_errors``) then computes the paper's Eq. 20
+error per column:
 
   Sample Err. | Huff Err. | Lossless Err. | Huff+LL Err. | PSNR Err. | SSIM Err.
 
@@ -51,100 +52,42 @@ def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -
     return df.repartition(min(len(rows), 2 * spark.sparkContext.defaultParallelism))
 
 
-def _eq20_sql(col: str) -> F.Column:
-    """Eq. 20 over the ratio column: 1 - 1/(1 + stddev_pop(r - 1))."""
-    s = F.stddev_pop(F.col(col) - F.lit(1.0))
-    return (F.lit(1.0) - F.lit(1.0) / (F.lit(1.0) + s)).alias(f"{col}_eq20")
+def _eq20(ratio: F.Column, name: str) -> F.Column:
+    """Eq. 20 over one measured/estimated ratio: 1 - 1/(1 + stddev_pop(r - 1))."""
+    return (1.0 - 1.0 / (1.0 + F.stddev_pop(ratio - 1.0))).alias(name)
+
+
+def table2_errors(rows: DataFrame) -> DataFrame:
+    """Per-field Table II errors from ``table2_metrics`` rows: the mean
+    sample error and Eq. 20 over each measured/estimated ratio. SSIM ratios
+    are null where ``m_ssim`` is, so 1D/4D fields get null SSIM errors."""
+    c = F.col
+    return rows.groupBy("dataset", "field").agg(
+        F.avg("sample_err").alias("sample_err"),
+        _eq20(c("m_huff") / c("e_huff"), "huff_err"),
+        # "Lossless": the *extra* ratio contributed by the lossless stage
+        _eq20((c("m_huff") / c("m_ll")) / (c("e_huff") / c("e_ll")), "lossless_err"),
+        _eq20(c("m_ll") / c("e_ll"), "huff_ll_err"),
+        _eq20(c("m_psnr") / c("e_psnr"), "psnr_err"),
+        _eq20(c("m_ssim") / c("e_ssim"), "ssim_err"),
+        # supplemental, stricter view: ratios of the SSIM *distortion*
+        # (1-SSIM), the quantity Fig. 7 plots in log scale
+        _eq20((1.0 - c("m_ssim")) / (1.0 - c("e_ssim")), "ssim_dist_err"),
+    )
 
 
 def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") -> pd.DataFrame:
-    # Kept in executor memory as cache() would, but with the corpus shuffle cut
-    # from the lineage: later jobs do not list that shuffle again, and the join
-    # does not schedule one materializing stage per side.
     rows = table2_metrics(
         build_corpus(spark, scale), [predictor], EB_SWEEP_REL, sample_rate=0.01, seed=7
-    ).localCheckpoint()
-    keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
-    e = rows.filter(F.col("kind") == "est").select(
-        *keys,
-        F.col("bitrate_huff").alias("e_huff"),
-        F.col("bitrate_ll").alias("e_ll"),
-        F.col("psnr").alias("e_psnr"),
-        F.col("ssim").alias("e_ssim"),
     )
-    m = rows.filter(F.col("kind") == "meas").select(
-        *keys,
-        F.col("bitrate_huff").alias("m_huff"),
-        F.col("bitrate_ll").alias("m_ll"),
-        F.col("psnr").alias("m_psnr"),
-        F.col("ssim").alias("m_ssim"),
-    )
-    j = e.join(m, keys)
-    j = j.select(
-        "dataset",
-        "field",
-        (F.col("m_huff") / F.col("e_huff")).alias("r_huff"),
-        # "Lossless": the *extra* ratio contributed by the lossless stage
-        ((F.col("m_huff") / F.col("m_ll")) / (F.col("e_huff") / F.col("e_ll"))).alias("r_extra"),
-        (F.col("m_ll") / F.col("e_ll")).alias("r_lltot"),
-        (F.col("m_psnr") / F.col("e_psnr")).alias("r_psnr"),
-        F.when(
-            F.isnan("m_ssim") | F.isnan("e_ssim"), F.lit(None)
-        ).otherwise(F.col("m_ssim") / F.col("e_ssim")).alias("r_ssim"),
-        # supplemental, stricter view: ratios of the SSIM *distortion*
-        # (1-SSIM), the quantity Fig. 7 plots in log scale
-        F.when(
-            F.isnan("m_ssim") | F.isnan("e_ssim"), F.lit(None)
-        ).otherwise(
-            (F.lit(1.0) - F.col("m_ssim")) / (F.lit(1.0) - F.col("e_ssim"))
-        ).alias("r_ssim_dist"),
-    )
-    agg = (
-        j.groupBy("dataset", "field")
-        .agg(
-            _eq20_sql("r_huff"),
-            _eq20_sql("r_extra"),
-            _eq20_sql("r_lltot"),
-            _eq20_sql("r_psnr"),
-            _eq20_sql("r_ssim"),
-            _eq20_sql("r_ssim_dist"),
-        )
-        .toPandas()
-    )
-    samp = (
-        rows.filter(F.col("kind") == "sample")
-        .groupBy("dataset", "field")
-        .agg(F.avg("sample_err").alias("sample_err"))
-        .toPandas()
-    )
-    out = samp.merge(agg, on=["dataset", "field"])
-    order = {(s.dataset, s.field): i for i, s in enumerate(sci_data.FIELDS)}
-    out["__o"] = out.apply(lambda r: order[(r["dataset"], r["field"])], axis=1)
-    out = out.sort_values("__o").drop(columns="__o").reset_index(drop=True)
-    out = out.rename(
-        columns={
-            "r_huff_eq20": "huff_err",
-            "r_extra_eq20": "lossless_err",
-            "r_lltot_eq20": "huff_ll_err",
-            "r_psnr_eq20": "psnr_err",
-            "r_ssim_eq20": "ssim_err",
-            "r_ssim_dist_eq20": "ssim_dist_err",
-        }
-    )
-    # null SSIM for the fields the paper marks "-"
-    no_ssim = {(s.dataset, s.field) for s in sci_data.FIELDS if not s.has_ssim}
-    mask = out.apply(lambda r: (r["dataset"], r["field"]) in no_ssim, axis=1)
-    out.loc[mask, ["ssim_err", "ssim_dist_err"]] = np.nan
+    order = [(s.dataset, s.field) for s in sci_data.FIELDS]
+    out = table2_errors(rows).toPandas().set_index(["dataset", "field"]).loc[order].reset_index()
     avg = out.mean(numeric_only=True).to_frame().T
     avg.insert(0, "dataset", "Average")
     avg.insert(1, "field", "-")
-    out = pd.concat([out, avg], ignore_index=True)
-    pct = out.copy()
-    for c in (
-        "sample_err", "huff_err", "lossless_err", "huff_ll_err",
-        "psnr_err", "ssim_err", "ssim_dist_err",
-    ):
-        pct[c] = (100 * pct[c]).round(2)
+    pct = pd.concat([out, avg], ignore_index=True)
+    errs = pct.columns[2:]
+    pct[errs] = (100 * pct[errs]).round(2)
     emit(f"table2_accuracy_{scale}", pct)
     return pct
 

@@ -133,7 +133,7 @@ class Lorenzo(_Base):
         # §III-D-1: randomly sample points, apply Lorenzo on original values.
         err = self.prediction_errors(data)
         n = err.size
-        m = max(64, min(n, int(round(n * rate))))
+        m = min(n, max(64, int(round(n * rate))))
         idx = np.random.default_rng(seed).choice(n, size=m, replace=False)
         w = np.full(m, n / m)
         return SampledErrors(err[idx], w)

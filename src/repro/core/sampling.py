@@ -15,7 +15,7 @@ __all__ = ["sample_values", "weighted_std", "sample_error_report"]
 def sample_values(data: np.ndarray, rate: float = 0.01, seed: int = 0) -> np.ndarray:
     """Uniform random sample of data values (for σ_D and diagnostics)."""
     flat = np.asarray(data, dtype=np.float64).ravel()
-    m = max(64, min(flat.size, int(round(flat.size * rate))))
+    m = min(flat.size, max(64, int(round(flat.size * rate))))
     idx = np.random.default_rng(seed).choice(flat.size, size=m, replace=False)
     return flat[idx]
 

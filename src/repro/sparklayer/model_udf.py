@@ -7,11 +7,13 @@ per-error-bound estimates), ``_measure_rows`` runs the real SZ3-lite
 compressor (the trial-and-error unit of work) and measures ratio + post-hoc
 quality, and ``_sample_row`` reports the fidelity of the sampled
 prediction-error distribution. ``estimate_metrics``, ``measure_metrics`` and
-``sample_reports`` each run one of them over every chunk; ``table2_metrics``
-runs all three in a single executor pass, so each chunk is deserialized once
-and the Table II job has one Python-worker stage. Estimate and measure rows
-share one schema so they join/diff in Spark SQL; wall-clock columns feed the
-overhead study (Fig. 9 / Table E1).
+``sample_reports`` each run one of them over every chunk; the first two share
+``METRIC_SCHEMA``, whose wall-clock ``seconds`` feed the overhead study
+(Fig. 9 / Table E1). ``table2_metrics`` runs all three in a single executor
+pass and emits one wide row per (chunk, predictor, error bound) holding the
+estimate, the measurement and the chunk's sample report, so the Table II job
+deserializes each chunk once and needs no join: its Spark SQL is one
+``groupBy``.
 """
 from __future__ import annotations
 
@@ -67,18 +69,23 @@ SAMPLE_SCHEMA = T.StructType(
     ]
 )
 
-_ALWAYS_SET = {"dataset", "field", "chunk_id", "predictor", "kind", "n_points", "seconds"}
+_KEYS = ("dataset", "field", "chunk_id", "predictor", "eb_rel")
+#: ``e_``/``m_`` column suffix -> metric of the estimate/measurement row
+_METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "psnr": "psnr", "ssim": "ssim"}
 
-#: ``METRIC_SCHEMA`` plus the sample report. "est" and "meas" rows leave the
-#: report columns null; "sample" rows leave the bound and metric columns null.
+#: One Table II row per (chunk, predictor, error bound): the model's estimate
+#: (``e_*``) and the compressor's measurement (``m_*``) side by side, plus the
+#: chunk's sample report. ``m_ssim`` is null where SSIM is not measured
+#: (1D/4D chunks: Arrow turns the NaN into a null).
 TABLE2_SCHEMA = T.StructType(
-    [
-        T.StructField(f.name, f.dataType, f.name not in _ALWAYS_SET)
-        for f in METRIC_SCHEMA.fields + SAMPLE_SCHEMA.fields[4:]
+    [METRIC_SCHEMA[k] for k in _KEYS]
+    + [
+        T.StructField(f"{side}_{col}", T.DoubleType(), f"{side}_{col}" == "m_ssim")
+        for side in "em"
+        for col in _METRICS
     ]
+    + [SAMPLE_SCHEMA["sample_err"]]
 )
-
-_NO_METRICS = dict.fromkeys(("bitrate_huff", "bitrate_ll", "p0", "psnr", "ssim"))
 
 
 def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
@@ -204,21 +211,23 @@ def table2_metrics(
     """``estimate_metrics``, ``measure_metrics`` (with SSIM) and
     ``sample_reports`` in one executor pass, as ``TABLE2_SCHEMA`` rows.
 
-    Per chunk and predictor it emits the "est" rows, the "meas" rows and one
-    "sample" row whose ``seconds`` is the report's cost; the model and the
-    sample report share ``sample_rate`` and ``seed``. Filter on ``kind`` to
-    get each stream back.
+    Each row pairs the estimate and the measurement of one (chunk,
+    predictor, error bound) and repeats the chunk's ``sample_err``; the
+    model and the sample report share ``sample_rate`` and ``seed``.
     """
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
     def fn(row, arr):
         for p in preds:
-            yield from _estimate_rows(row, arr, p, ebs, sample_rate, seed)
-            yield from _measure_rows(row, arr, p, ebs, True)
-            t0 = time.perf_counter()
-            rep = _sample_row(row, arr, p, sample_rate, seed)
-            dt = time.perf_counter() - t0
-            yield _metric_row(row, arr, p, "sample", None, None, _NO_METRICS, dt) | rep
+            sample_err = sample_error_report(arr, p, rate=sample_rate, seed=seed)["sample_err"]
+            for e, m in zip(
+                _estimate_rows(row, arr, p, ebs, sample_rate, seed),
+                _measure_rows(row, arr, p, ebs, True),
+            ):
+                out = {k: e[k] for k in _KEYS}
+                for col, metric in _METRICS.items():
+                    out[f"e_{col}"], out[f"m_{col}"] = e[metric], m[metric]
+                yield out | {"sample_err": sample_err}
 
     return per_chunk(chunks, fn, TABLE2_SCHEMA)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro import sci_data
+from repro.core.model import RatioQualityModel
 from repro.core.sampling import sample_error_report, sample_values, weighted_std
 
 
@@ -45,3 +46,16 @@ def test_sample_error_decreases_with_rate():
         ]
         errs.append(np.mean(reps))
     assert errs[1] <= errs[0] + 1e-4
+
+
+@pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
+@pytest.mark.parametrize("shape", [(1, 16, 1), (4,), (3, 5)])
+def test_model_on_fewer_points_than_sampling_floor(shape, pred):
+    """Below the 64-point sampling floor every point is sampled: the model
+    builds and estimates, and the sample report runs, as ``compress`` does."""
+    d = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+    m = RatioQualityModel(d, pred, seed=0)
+    est = m.estimate(m.abs_bound(1e-2))
+    assert all(np.isfinite(est[k]) for k in ("bitrate_huff", "bitrate_ll", "psnr", "ssim"))
+    rep = sample_error_report(d, pred, rate=0.01, seed=0)
+    assert rep["sample_err"] == pytest.approx(0.0, abs=1e-12)  # sampled = whole field

@@ -18,7 +18,6 @@ from repro.sparklayer import (
     sample_reports,
     table2_metrics,
 )
-from repro.sparklayer.model_udf import METRIC_SCHEMA, SAMPLE_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -93,33 +92,32 @@ def test_sample_reports_udf(spark, chunks_df):
 
 
 def test_table2_metrics_matches_separate_passes(spark, chunks_df):
-    """The fused Table II pass emits exactly the rows of the three separate
-    per-chunk passes (timings aside), tagged by ``kind``."""
+    """The fused Table II pass emits one row per (chunk, predictor, bound):
+    ``e_*`` from the model pass, ``m_*`` from the compressor pass (a 1D
+    chunk's unmeasured SSIM read as null) and the chunk's sample report."""
     preds, ebs = ["lorenzo", "interp"], [1e-3, 1e-2]
-    fused = table2_metrics(chunks_df, preds, ebs, seed=1).toPandas()
+    brown = sci_data.generate("Brown", "pressure", "test")
+    chunks = chunks_df.unionByName(array_to_chunks(spark, "Brown", "pressure", brown, 2))
+    wide = table2_metrics(chunks, preds, ebs, seed=1).toPandas()
     keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
-
-    def rows(pdf, cols, by):
-        return pdf[cols].sort_values(by).reset_index(drop=True)
-
-    metric_cols = [c for c in METRIC_SCHEMA.fieldNames() if c != "seconds"]
-    for kind, ref in (
-        ("est", estimate_metrics(chunks_df, preds, ebs, seed=1)),
-        ("meas", measure_metrics(chunks_df, preds, ebs)),
+    rows_per_chunk = wide.groupby(keys[:3]).size()
+    assert len(rows_per_chunk) == 3 + 2 and (rows_per_chunk == len(preds) * len(ebs)).all()
+    wide = wide.sort_values(keys).reset_index(drop=True)
+    assert (wide["m_ssim"].isna() == (wide["dataset"] == "Brown")).all()
+    assert wide["e_ssim"].notna().all()
+    for side, ref in (
+        ("e", estimate_metrics(chunks, preds, ebs, seed=1)),
+        ("m", measure_metrics(chunks, preds, ebs)),
     ):
-        got = fused[fused["kind"] == kind]
-        assert len(got) == 3 * 2 * 2
-        pd.testing.assert_frame_equal(
-            rows(got, metric_cols, keys), rows(ref.toPandas(), metric_cols, keys)
-        )
-    samp_cols = SAMPLE_SCHEMA.fieldNames()
-    ref = pd.concat(
-        [sample_reports(chunks_df, p, rate=0.01, seed=1).toPandas() for p in preds]
-    )
-    pd.testing.assert_frame_equal(
-        rows(fused[fused["kind"] == "sample"], samp_cols, keys[:4]),
-        rows(ref, samp_cols, keys[:4]),
-    )
+        ref = ref.toPandas().sort_values(keys).reset_index(drop=True)
+        pd.testing.assert_frame_equal(wide[keys], ref[keys])
+        for col in ("huff", "ll", "psnr", "ssim"):
+            metric = f"bitrate_{col}" if col in ("huff", "ll") else col
+            np.testing.assert_array_equal(wide[f"{side}_{col}"], ref[metric], err_msg=col)
+    samp = pd.concat([sample_reports(chunks, p, rate=0.01, seed=1).toPandas() for p in preds])
+    got = wide.merge(samp, on=keys[:4], suffixes=("", "_ref"), validate="many_to_one")
+    assert len(got) == len(wide)
+    np.testing.assert_array_equal(got["sample_err"], got["sample_err_ref"])
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +138,6 @@ def test_mean_bitrate_per_group_vs_oracle(spark, metrics_df):
                avg(bitrate_huff) AS mean_bitrate,
                count(*) AS n
         FROM metrics GROUP BY predictor, kind, eb_rel
-        """,
-        metrics=metrics_df,
-    )
-
-
-def test_est_meas_join_vs_oracle(spark, metrics_df):
-    """The Table II inner join (estimates ⋈ measurements) through the
-    shuffle path, checked against DuckDB."""
-    est = metrics_df.filter(F.col("kind") == "est").select(
-        "dataset", "field", "chunk_id", "predictor", "eb_rel",
-        F.col("bitrate_huff").alias("est_b"),
-    )
-    meas = metrics_df.filter(F.col("kind") == "meas").select(
-        "dataset", "field", "chunk_id", "predictor", "eb_rel",
-        F.col("bitrate_huff").alias("meas_b"),
-    )
-    joined = est.join(meas, ["dataset", "field", "chunk_id", "predictor", "eb_rel"]).select(
-        "dataset", "field", "chunk_id", "predictor", "eb_rel",
-        (F.col("est_b") / F.col("meas_b")).alias("ratio"),
-    )
-    assert_equivalent(
-        joined,
-        """
-        SELECT e.dataset, e.field, e.chunk_id, e.predictor, e.eb_rel,
-               e.bitrate_huff / m.bitrate_huff AS ratio
-        FROM (SELECT * FROM metrics WHERE kind = 'est') e
-        JOIN (SELECT * FROM metrics WHERE kind = 'meas') m
-        USING (dataset, field, chunk_id, predictor, eb_rel)
         """,
         metrics=metrics_df,
     )
