@@ -77,9 +77,7 @@ def table2_errors(rows: DataFrame) -> DataFrame:
 
 
 def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") -> pd.DataFrame:
-    rows = table2_metrics(
-        build_corpus(spark, scale), [predictor], EB_SWEEP_REL, sample_rate=0.01, seed=7
-    )
+    rows = table2_metrics(build_corpus(spark, scale), [predictor], EB_SWEEP_REL, seed=7)
     order = [(s.dataset, s.field) for s in sci_data.FIELDS]
     out = table2_errors(rows).toPandas().set_index(["dataset", "field"]).loc[order].reset_index()
     avg = out.mean(numeric_only=True).to_frame().T

@@ -47,12 +47,12 @@ def ssim_global(orig: np.ndarray, recon: np.ndarray) -> float:
     )
 
 
-def power_spectrum(data: np.ndarray, nbins: int | None = None):
+def power_spectrum(data: np.ndarray):
     """Radially binned FFT power spectrum → (k_bin_centers, P(k), modes/bin).
 
     The data-specific post-hoc analysis of §III-E-4 (Nyx-style spectrum).
     Uses the unnormalized FFT, bins |F(k)|² by integer wavenumber magnitude
-    up to the smallest axis Nyquist.
+    up to the smallest axis Nyquist (at least 4 bins).
     """
     d = np.asarray(data, dtype=np.float64)
     f = np.fft.fftn(d)
@@ -60,13 +60,12 @@ def power_spectrum(data: np.ndarray, nbins: int | None = None):
     grids = np.meshgrid(*[np.fft.fftfreq(n) * n for n in d.shape], indexing="ij")
     k = np.sqrt(sum(g**2 for g in grids))
     kmax = min(d.shape) // 2
-    if nbins is None:
-        nbins = max(4, kmax)
-    edges = np.linspace(0.5, kmax + 0.5, nbins + 1)
+    n_bins = max(4, kmax)
+    edges = np.linspace(0.5, kmax + 0.5, n_bins + 1)
     which = np.digitize(k.ravel(), edges) - 1
-    valid = (which >= 0) & (which < nbins)
-    counts = np.bincount(which[valid], minlength=nbins)
-    sums = np.bincount(which[valid], weights=p.ravel()[valid], minlength=nbins)
+    valid = (which >= 0) & (which < n_bins)
+    counts = np.bincount(which[valid], minlength=n_bins)
+    sums = np.bincount(which[valid], weights=p.ravel()[valid], minlength=n_bins)
     nonempty = counts > 0
     centers = 0.5 * (edges[:-1] + edges[1:])
     with np.errstate(invalid="ignore"):

@@ -4,7 +4,9 @@ ground-truth measurement.
 ``compress`` runs predictor → quantizer → Huffman (+ zlib lossless stage)
 and returns exact compressed sizes; ``decompress`` reconstructs the data
 (error-bounded) from the in-memory codes; ``measure`` produces the measured
-ratio/quality metrics the model is evaluated against in Table II.
+bit-rates, PSNR and (optionally) SSIM the model is evaluated against in
+Table II. The measured FFT distortion of Fig. 8 is
+``analysis.spectrum_rel_error`` on the reconstruction.
 
 ``to_bytes`` writes the one compressed-byte format (an SZ3-style container,
 Liang et al., IEEE TBD 2022) and ``from_bytes`` reads it back. Its fields
@@ -196,22 +198,17 @@ def _inflate(body: bytes, limit: int) -> bytes:
     return out
 
 
-def measure(
-    data: np.ndarray,
-    predictor: str,
-    eb_abs: float,
-    with_ssim: bool = True,
-    with_fft: bool = False,
-) -> dict:
+def measure(data: np.ndarray, predictor: str, eb_abs: float, with_ssim: bool = True) -> dict:
     """Ground-truth metrics for one (field, predictor, eb) configuration.
 
     This is the trial-and-error baseline's unit of work: a full compression,
-    decompression and post-hoc analysis pass.
+    decompression and post-hoc analysis pass. ``ssim`` is NaN unless
+    ``with_ssim``.
     """
     c = compress(data, predictor, eb_abs)
     recon = decompress(c)
     d = np.asarray(data, np.float64)
-    out = {
+    return {
         "predictor": predictor,
         "eb_abs": float(eb_abs),
         "bitrate_huff": c.bitrate(lossless=False),
@@ -221,9 +218,5 @@ def measure(
         "p0": c.p0,
         "psnr": analysis.psnr(d, recon),
         "max_err": float(np.max(np.abs(d - recon))),
+        "ssim": analysis.ssim_global(d, recon) if with_ssim else float("nan"),
     }
-    out["ssim"] = analysis.ssim_global(d, recon) if with_ssim else float("nan")
-    out["fft_err"] = (
-        analysis.spectrum_rel_error(d, recon) if with_fft else float("nan")
-    )
-    return out

@@ -3,8 +3,8 @@
 The quantization interval is ``2×eb`` so that reconstructing at the bin
 centre guarantees the point-wise absolute error bound ``eb``. ``quantize``
 and ``dequantize`` are the single definition every predictor's compress and
-decompress path uses, and ``quantize`` also bins the model's raw sampled
-histogram (``core.histogram.code_histogram``). ``check_bound`` rejects
+decompress path uses, and ``quantize`` also bins the model's sampled
+histogram (``core.histogram.phase_smear``). ``check_bound`` rejects
 ``eb <= 0``, for which no error-bounded encoding exists; ``quantize`` (and so
 every ``compress``) and the ratio-quality model's estimates share it.
 """

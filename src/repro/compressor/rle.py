@@ -19,7 +19,7 @@ import zlib
 __all__ = ["lossless_bytes"]
 
 
-def lossless_bytes(payload: bytes, level: int = 6) -> bytes:
-    """The optional lossless stage over the Huffman bitstream (zlib as the
-    Zstandard stand-in; see DESIGN.md §2)."""
-    return zlib.compress(payload, level)
+def lossless_bytes(payload: bytes) -> bytes:
+    """The optional lossless stage over the Huffman bitstream (zlib at its
+    default level 6, the Zstandard stand-in; see DESIGN.md §2)."""
+    return zlib.compress(payload, 6)

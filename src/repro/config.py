@@ -40,6 +40,3 @@ SHAPES: dict[str, dict[str, tuple[int, ...]]] = {
 #: Error-bound sweep (value-range-relative) used for the Table II accuracy
 #: evaluation and the overhead study — "7 candidate error bounds" (§V-D).
 EB_SWEEP_REL: tuple[float, ...] = (1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1)
-
-#: Default sampling rate for the ratio-quality model (§III-D: "always 1%").
-SAMPLE_RATE: float = 0.01

@@ -6,4 +6,3 @@ distribution, and the post-hoc analysis quality (PSNR / SSIM / FFT) — plus
 the inverse mapping from a target bit-rate to an error bound.
 """
 from .model import RatioQualityModel  # noqa: F401
-from .accuracy import eq20_error  # noqa: F401

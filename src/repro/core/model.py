@@ -4,6 +4,11 @@ Construction performs the **one-time ~1% sampling** (the only pass over the
 data besides an exact min/max); every subsequent estimate — for any error
 bound or target bit-rate — costs only a histogram over the sample. This is
 what replaces the trial-and-error compress-measure loop (§V-D).
+
+The code histogram always carries the phase-smear correction
+(``core.histogram``) and the error variance is the predictor-aware
+Eq. 10/11 form; the uniform-only prior-work baseline is kept only for the
+FFT estimate, where Fig. 8 plots it (``estimate_fft``).
 """
 from __future__ import annotations
 
@@ -28,11 +33,7 @@ class RatioQualityModel:
         predictor: str = "lorenzo",
         sample_rate: float = 0.01,
         seed: int = 0,
-        correction: str | None = "phase",
     ):
-        """``correction`` selects the histogram correction layer: "phase"
-        (default; see core.histogram), "eq9" (paper-literal Eq. 9), or None
-        (raw sampled histogram)."""
         pred = get_predictor(predictor)
         self.predictor = predictor
         self.shape = tuple(data.shape)
@@ -40,9 +41,7 @@ class RatioQualityModel:
         self.n_points = int(np.prod(self.shape))
         self.coded_count = pred.coded_count(self.shape)
         self.side_bytes = pred.side_bytes(self.shape)
-        if correction not in ("phase", "eq9", None):
-            raise ValueError(f"unknown correction {correction!r}")
-        self.correction = correction
+        self.alpha = histogram.phase_alpha(predictor, self.ndim)
         s = pred.sample_errors(data, rate=sample_rate, seed=seed)
         self.errors, self.weights = s.errors, s.weights
         self.group_ids = s.group_ids
@@ -56,15 +55,6 @@ class RatioQualityModel:
     def abs_bound(self, eb_rel: float) -> float:
         """Value-range-relative → absolute error bound."""
         return eb_rel * self.value_range
-
-    def _hist(self, eb_abs: float):
-        if self.correction == "phase":
-            alpha = histogram.phase_alpha(self.predictor, self.ndim)
-            return histogram.phase_smear(self.errors, self.weights, eb_abs, alpha)
-        syms, cnts = histogram.code_histogram(self.errors, self.weights, eb_abs)
-        if self.correction == "eq9":
-            syms, cnts = histogram.bin_transfer(syms, cnts, self.predictor)
-        return syms, cnts
 
     def _sigma_e2(self, eb_abs: float, uniform_only: bool = False) -> float:
         """Predictor-aware Eq. 10/11 error-distribution variance."""
@@ -83,44 +73,36 @@ class RatioQualityModel:
         return 8.0 * (codebook_bytes(n_symbols) + self.side_bytes + HEADER_BYTES)
 
     # ------------------------------------------------------------------
-    def estimate(self, eb_abs: float, uniform_only: bool = False) -> dict:
-        """All ratio/quality estimates for one absolute error bound.
-
-        ``uniform_only=True`` reproduces the prior-work baseline that models
-        the error distribution as purely uniform (Eq. 10 without Eq. 11 —
-        the dashed lines of Figs. 6/8). Raises ``ValueError`` for
-        ``eb_abs <= 0``, as ``compress`` does.
-        """
+    def estimate(self, eb_abs: float) -> dict:
+        """All ratio/quality estimates for one absolute error bound. Raises
+        ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
         check_bound(eb_abs)
-        syms, cnts = self._hist(eb_abs)
+        syms, cnts = histogram.phase_smear(self.errors, self.weights, eb_abs, self.alpha)
         p0 = histogram.p0_of(syms, cnts)
         b_code = ratio_model.huffman_bitrate(cnts)
         b_code_ll = ratio_model.lossless_bitrate(b_code, p0)
         oh = self._overhead_bits(len(syms))
         bitrate_huff = (b_code * self.coded_count + oh) / self.n_points
         bitrate_ll = (b_code_ll * self.coded_count + oh) / self.n_points
-        s2 = self._sigma_e2(eb_abs, uniform_only)
+        s2 = self._sigma_e2(eb_abs)
         return {
             "eb_abs": float(eb_abs),
             "p0": p0,
             "bitrate_huff": bitrate_huff,
             "bitrate_ll": bitrate_ll,
-            "rle_ratio": ratio_model.rle_ratio(p0, b_code),
-            "ratio_huff": 32.0 / bitrate_huff if bitrate_huff > 0 else float("inf"),
-            "ratio_ll": 32.0 / bitrate_ll if bitrate_ll > 0 else float("inf"),
             "sigma_e2": s2,
             "psnr": quality_model.psnr_est(self.value_range, s2),
             "ssim": quality_model.ssim_est(self.sigma_d2, s2, self.value_range),
         }
 
     # ------------------------------------------------------------------
-    def error_bound_for_bitrate(self, target_bits_per_point: float, lossless: bool = True) -> float:
-        """Invert the model: error bound achieving a target bit-rate
-        (fix-rate mode, use-case 2). Pure model evaluations — no compression."""
-        key = "bitrate_ll" if lossless else "bitrate_huff"
+    def error_bound_for_bitrate(self, target_bits_per_point: float) -> float:
+        """Invert the model: error bound whose estimated Huffman + lossless
+        bit-rate meets a target (fix-rate mode, use-case 2). Pure model
+        evaluations — no compression."""
 
         def est(eb):
-            return self.estimate(eb)[key]
+            return self.estimate(eb)["bitrate_ll"]
 
         lo = max(self.value_range * 1e-8, np.finfo(np.float64).tiny)
         hi = max(self.value_range, lo * 10)
@@ -166,8 +148,11 @@ class RatioQualityModel:
 
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray, uniform_only: bool = False) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the
-        original data's radial spectrum (one-time analysis setup). Raises
-        ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
+        original data's radial spectrum (one-time analysis setup).
+        ``uniform_only=True`` gives the prior-work baseline that models the
+        error distribution as purely uniform (Eq. 10 without Eq. 11 — the
+        dashed line of Fig. 8). Raises ``ValueError`` for ``eb_abs <= 0``,
+        as ``compress`` does."""
         check_bound(eb_abs)
         s2 = self._sigma_e2(eb_abs, uniform_only)
         return quality_model.fft_rel_error_est(s2, self.n_points, pk, modes_per_bin)

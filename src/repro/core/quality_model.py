@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _K2 = 0.03  # SSIM contrast constant K2, matching repro.analysis
+_TAU = 0.25  # sigma_e2_interp's quiescence threshold τ
 
 
 def sigma_e2_uniform(eb: float) -> float:
@@ -74,7 +75,6 @@ def sigma_e2_interp(
     weights: np.ndarray,
     group_ids: np.ndarray,
     eb: float,
-    tau: float = 0.25,
 ) -> float:
     """Eq. (11) refined for the multilevel interpolation predictor.
 
@@ -90,7 +90,7 @@ def sigma_e2_interp(
     is their minimum over levels:
 
         v ≈ (1 − Q)·eb²/3 + Q·min(2·E[δ² | quiescent], eb²/3),
-        Q = min over refinement groups of  P(|δ| ≤ τ·eb).
+        Q = min over refinement groups of  P(|δ| ≤ τ·eb),  τ = 0.25.
 
     The factor 2 accounts for the inherited neighbour-error term; the cap is
     phase folding. Reduces to Eq. (10) when any level is fully active.
@@ -99,7 +99,7 @@ def sigma_e2_interp(
     w = np.asarray(weights, dtype=np.float64)
     gid = np.asarray(group_ids)
     u = sigma_e2_uniform(eb)
-    quiet = np.abs(e) <= tau * eb
+    quiet = np.abs(e) <= _TAU * eb
     q_min = 1.0
     for g in np.unique(gid):
         m = gid == g
@@ -120,7 +120,11 @@ def psnr_est(value_range: float, s2: float) -> float:
 
 
 def ssim_est(sigma_d2: float, s2: float, value_range: float) -> float:
-    """Eq. (15); C3 = (K2·range)² as in the measured SSIM."""
+    """Eq. (15); C3 = (K2·range)² as in the measured SSIM. No error
+    (``s2 == 0``) gives 1.0, also for a constant field where Eq. (15) is
+    0/0."""
+    if s2 == 0:
+        return 1.0
     c3 = (_K2 * value_range) ** 2
     return float((2.0 * sigma_d2 + c3) / (2.0 * sigma_d2 + c3 + s2))
 

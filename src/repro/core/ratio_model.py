@@ -94,7 +94,10 @@ def invert_bitrate(
     Starts with Eq. (2) fixed-point steps (`e ← e·2^(B(e)-B*)`), falling
     back to bisection on [eb_lo, eb_hi] — both operate purely on the model,
     so the cost is a handful of histogram evaluations on the 1% sample
-    (this is the whole point of the model vs trial-and-error).
+    (this is the whole point of the model vs trial-and-error). The fixed
+    point is why this is not the quality inversions' plain log bisection:
+    on 51 bench inversions that bisection needed 787 estimates against 599
+    (DESIGN.md §2, RLE bullet).
     """
     lo, hi = float(eb_lo), float(eb_hi)
     e = float(np.sqrt(lo * hi))

@@ -108,12 +108,12 @@ def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
 
 
 def _estimate_rows(
-    row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], sample_rate: float, seed: int
+    row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], seed: int
 ) -> Iterator[dict]:
     """One chunk's model rows for ``predictor``, one per error bound
     (``seconds`` as in ``estimate_metrics``)."""
     t0 = time.perf_counter()
-    model = RatioQualityModel(arr, predictor, sample_rate=sample_rate, seed=seed)
+    model = RatioQualityModel(arr, predictor, seed=seed)
     t_build = time.perf_counter() - t0
     for i, ebr in enumerate(ebs_rel):
         t0 = time.perf_counter()
@@ -123,17 +123,17 @@ def _estimate_rows(
 
 
 def _measure_rows(
-    row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], with_ssim: bool
+    row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float]
 ) -> Iterator[dict]:
     """One chunk's ground-truth rows for ``predictor``, one trial per error
-    bound."""
+    bound; SSIM is measured for 2D/3D chunks only, as in the paper's
+    Table II."""
     d = np.asarray(arr, dtype=np.float64)
     vrange = float(d.max() - d.min())
-    ssim_ok = with_ssim and arr.ndim in (2, 3)
     for ebr in ebs_rel:
         eb_abs = ebr * vrange
         t0 = time.perf_counter()
-        m = pipeline.measure(arr, predictor, eb_abs, with_ssim=ssim_ok)
+        m = pipeline.measure(arr, predictor, eb_abs, with_ssim=arr.ndim in (2, 3))
         dt = time.perf_counter() - t0
         yield _metric_row(row, arr, predictor, "meas", ebr, eb_abs, m, dt)
 
@@ -153,7 +153,6 @@ def estimate_metrics(
     chunks: DataFrame,
     predictors: Sequence[str],
     ebs_rel: Sequence[float],
-    sample_rate: float = 0.01,
     seed: int = 0,
 ) -> DataFrame:
     """Model estimates per (chunk, predictor, error bound).
@@ -168,16 +167,13 @@ def estimate_metrics(
 
     def fn(row, arr):
         for p in preds:
-            yield from _estimate_rows(row, arr, p, ebs, sample_rate, seed)
+            yield from _estimate_rows(row, arr, p, ebs, seed)
 
     return per_chunk(chunks, fn, METRIC_SCHEMA)
 
 
 def measure_metrics(
-    chunks: DataFrame,
-    predictors: Sequence[str],
-    ebs_rel: Sequence[float],
-    with_ssim: bool = True,
+    chunks: DataFrame, predictors: Sequence[str], ebs_rel: Sequence[float]
 ) -> DataFrame:
     """Ground truth per (chunk, predictor, error bound): full compression +
     decompression + analysis, i.e. one trial of the trial-and-error loop."""
@@ -186,7 +182,7 @@ def measure_metrics(
 
     def fn(row, arr):
         for p in preds:
-            yield from _measure_rows(row, arr, p, ebs, with_ssim)
+            yield from _measure_rows(row, arr, p, ebs)
 
     return per_chunk(chunks, fn, METRIC_SCHEMA)
 
@@ -205,26 +201,23 @@ def table2_metrics(
     chunks: DataFrame,
     predictors: Sequence[str],
     ebs_rel: Sequence[float],
-    sample_rate: float = 0.01,
     seed: int = 0,
 ) -> DataFrame:
-    """``estimate_metrics``, ``measure_metrics`` (with SSIM) and
-    ``sample_reports`` in one executor pass, as ``TABLE2_SCHEMA`` rows.
+    """``estimate_metrics``, ``measure_metrics`` and ``sample_reports`` in
+    one executor pass, as ``TABLE2_SCHEMA`` rows.
 
     Each row pairs the estimate and the measurement of one (chunk,
     predictor, error bound) and repeats the chunk's ``sample_err``; the
-    model and the sample report share ``sample_rate`` and ``seed``.
+    model and the sample report share the 1% rate and ``seed``.
     """
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
     def fn(row, arr):
         for p in preds:
-            sample_err = sample_error_report(arr, p, rate=sample_rate, seed=seed)["sample_err"]
-            for e, m in zip(
-                _estimate_rows(row, arr, p, ebs, sample_rate, seed),
-                _measure_rows(row, arr, p, ebs, True),
-            ):
+            sample_err = sample_error_report(arr, p, seed=seed)["sample_err"]
+            estimates = _estimate_rows(row, arr, p, ebs, seed)
+            for e, m in zip(estimates, _measure_rows(row, arr, p, ebs)):
                 out = {k: e[k] for k in _KEYS}
                 for col, metric in _METRICS.items():
                     out[f"e_{col}"], out[f"m_{col}"] = e[metric], m[metric]

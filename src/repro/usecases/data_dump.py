@@ -97,7 +97,6 @@ def dump_snapshot(
     traditional_abs_eb: float | None = None,
     candidates_abs: Sequence[float] | None = None,
     io_bytes_per_second: float | None = None,
-    global_range: float | None = None,
 ) -> pd.DataFrame:
     """Dump one snapshot with one method → per-chunk timing rows.
 
@@ -107,8 +106,14 @@ def dump_snapshot(
     partitions in microseconds, which would erase the I/O term that
     dominates the paper's Fig. 14 (their Lustre baseline dump is 29.4 s);
     the throttle restores the paper's regime where dumped *bytes* translate
-    into dump *time* (see DESIGN.md §2).
+    into dump *time* (see DESIGN.md §2). Raises ``ValueError`` for an
+    unknown ``method`` and for ``"traditional"`` without
+    ``traditional_abs_eb``, before any Spark work starts.
     """
+    if method not in ("traditional", "tae", "model"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "traditional" and traditional_abs_eb is None:
+        raise ValueError("traditional method needs traditional_abs_eb")
     os.makedirs(outdir, exist_ok=True)
     chunks = array_to_chunks(spark, "RTM", str(t), data, n_chunks=n_partitions)
     chunks = chunks.repartition(n_partitions)
@@ -118,20 +123,16 @@ def dump_snapshot(
     if candidates_abs is None:
         candidates_abs = candidate_abs_ebs(snap_range)
     cand = tuple(sorted(candidates_abs, reverse=True))
-    trad_abs = traditional_abs_eb
     # the quality floor is snapshot-level PSNR (as in the paper); each rank
     # knows the snapshot's global range (an allreduce in an MPI code) and
     # keeps its partition's MSE within the implied budget
-    gr = float(global_range) if global_range is not None else snap_range
-    mse_budget = gr * gr * 10.0 ** (-target_psnr_db / 10.0)
+    mse_budget = snap_range * snap_range * 10.0 ** (-target_psnr_db / 10.0)
 
     def fn(row, arr):
         cid = int(row["chunk_id"])
         t_opt = 0.0
         if method == "traditional":
-            if trad_abs is None:
-                raise ValueError("traditional method needs traditional_abs_eb")
-            eb = trad_abs
+            eb = traditional_abs_eb
         elif method == "tae":
             t0 = time.perf_counter()
             eb = cand[-1]  # fallback: strictest candidate
@@ -143,15 +144,13 @@ def dump_snapshot(
                     eb = eb_try
                     break
             t_opt = time.perf_counter() - t0
-        elif method == "model":
+        else:  # "model"
             t0 = time.perf_counter()
             model = RatioQualityModel(arr, predictor, seed=t + cid)
             # ~20% MSE headroom absorbs model-estimation error
             # (cf. the 20% bit-rate headroom of use-case 2)
             eb = model.error_bound_for_mse(0.8 * mse_budget)
             t_opt = time.perf_counter() - t0
-        else:
-            raise ValueError(f"unknown method {method!r}")
         t0 = time.perf_counter()
         c = pipeline.compress(arr, predictor, eb)
         blob = pipeline.to_bytes(c)

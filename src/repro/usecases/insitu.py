@@ -28,15 +28,16 @@ __all__ = [
     "uniform_baseline",
 ]
 
+_GUARD_DB = 1.0  # dB the model aims above the PSNR floor
+
 
 def per_snapshot_models(
     snapshots: dict[int, np.ndarray],
     predictor: str = "lorenzo",
-    sample_rate: float = 0.01,
     seed: int = 0,
 ) -> dict[int, RatioQualityModel]:
     return {
-        t: RatioQualityModel(d, predictor, sample_rate=sample_rate, seed=seed + t)
+        t: RatioQualityModel(d, predictor, seed=seed + t)
         for t, d in snapshots.items()
     }
 
@@ -45,15 +46,15 @@ def quality_targeted(
     snapshots: dict[int, np.ndarray],
     models: dict[int, RatioQualityModel],
     target_psnr_db: float = 56.0,
-    guard_db: float = 1.0,
 ) -> dict:
     """Fig. 13: ours (per-snapshot eb at the PSNR floor) vs traditional
     (single worst-case eb — the minimum of the per-snapshot bounds, which is
     what an offline study that must protect every snapshot ends up with).
-    Both are then *actually compressed and measured*. ``guard_db`` is a
-    small safety margin absorbing model-estimation error (the same role as
-    use-case 2's 20% bit-rate headroom)."""
-    ebs = {t: m.error_bound_for_psnr(target_psnr_db + guard_db) for t, m in models.items()}
+    Both are then *actually compressed and measured*. The model aims
+    ``_GUARD_DB`` above the floor, a small safety margin absorbing
+    model-estimation error (the same role as use-case 2's 20% bit-rate
+    headroom)."""
+    ebs = {t: m.error_bound_for_psnr(target_psnr_db + _GUARD_DB) for t, m in models.items()}
     # the traditional method picks ONE absolute bound for all snapshots
     # (the paper's offline studies use shared ABS bounds); it must hold for
     # the hardest snapshot — the one with the smallest admissible bound

@@ -46,18 +46,17 @@ def plan_and_compress(
     data: np.ndarray,
     budget_bits_per_point: float,
     predictor: str = "lorenzo",
-    headroom: float = HEADROOM,
-    sample_rate: float = 0.01,
     seed: int = 0,
 ) -> dict:
-    """Pick the error bound for ``headroom × budget`` via the model, then
+    """Pick the error bound for ``HEADROOM × budget`` via the model, then
     actually compress and report the measured bit-rate."""
-    model = RatioQualityModel(data, predictor, sample_rate=sample_rate, seed=seed)
-    eb = model.error_bound_for_bitrate(headroom * budget_bits_per_point)
+    target = HEADROOM * budget_bits_per_point
+    model = RatioQualityModel(data, predictor, seed=seed)
+    eb = model.error_bound_for_bitrate(target)
     c = pipeline.compress(data, predictor, eb)
     return {
         "eb_abs": eb,
-        "target_bitrate": headroom * budget_bits_per_point,
+        "target_bitrate": target,
         "est_bitrate": model.estimate(eb)["bitrate_ll"],
         "used_bitrate": c.bitrate(lossless=True),
         "budget_bitrate": budget_bits_per_point,

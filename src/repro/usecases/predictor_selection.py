@@ -25,7 +25,6 @@ def rd_curves(
     predictors: tuple[str, ...],
     ebs_rel: tuple[float, ...],
     measured: bool = False,
-    sample_rate: float = 0.01,
     seed: int = 0,
 ) -> dict[str, dict]:
     """Rate-distortion curves per predictor.
@@ -46,7 +45,7 @@ def rd_curves(
                 brs.append(m["bitrate_ll"])
                 psnrs.append(m["psnr"])
         else:
-            model = RatioQualityModel(data, p, sample_rate=sample_rate, seed=seed)
+            model = RatioQualityModel(data, p, seed=seed)
             for ebr in ebs_rel:
                 est = model.estimate(model.abs_bound(ebr))
                 brs.append(est["bitrate_ll"])
@@ -90,13 +89,12 @@ def crossover_bitrate(
     curves: dict[str, dict],
     p_low: str,
     p_high: str,
-    n_grid: int = 512,
     margin_db: float = 0.0,
 ) -> float | None:
     """Bit-rate below which ``p_low`` beats ``p_high`` by ≥ ``margin_db``
     (PSNR at equal rate).
 
-    Scans a log-spaced bit-rate grid over the curves' common range and
+    Scans a 512-point log-spaced bit-rate grid over the curves' common range and
     returns the highest rate where the margined preference flips; None if
     one predictor dominates everywhere. A small positive ``margin_db``
     makes the boundary well-conditioned when the curves run near-parallel
@@ -114,7 +112,7 @@ def crossover_bitrate(
     hi = min(b1.max(), b2.max())
     if not (hi > lo > 0):
         return None
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, 512)
     diff = np.interp(grid, b1, q1) - np.interp(grid, b2, q2) - margin_db
     # scan upward from the low-rate end: the boundary is the FIRST point
     # where p_low's (margined) advantage is lost — later re-crossings in the

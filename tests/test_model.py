@@ -5,7 +5,9 @@ import pytest
 
 from repro import analysis, sci_data
 from repro.compressor import pipeline
+from repro.core import histogram
 from repro.core.model import RatioQualityModel
+from repro.core.quality_model import psnr_est, sigma_e2_uniform
 
 FIELDS = [("SCALE", "PRES"), ("CESM", "TS"), ("Brown", "pressure")]
 PREDS = ["lorenzo", "interp", "regression"]
@@ -119,34 +121,39 @@ def test_uniform_only_baseline_differs_at_high_eb(field_data):
     m = RatioQualityModel(d, "regression", seed=7)
     lo = m.abs_bound(1e-4)
     hi = m.abs_bound(1e-1)
-    assert m.estimate(lo)["psnr"] == pytest.approx(
-        m.estimate(lo, uniform_only=True)["psnr"], abs=0.5
-    )
-    assert m.estimate(hi)["psnr"] > m.estimate(hi, uniform_only=True)["psnr"] + 1.0
+
+    def uniform(eb):
+        return psnr_est(m.value_range, sigma_e2_uniform(eb))
+
+    assert m.estimate(lo)["psnr"] == pytest.approx(uniform(lo), abs=0.5)
+    assert m.estimate(hi)["psnr"] > uniform(hi) + 1.0
 
 
-def test_correction_modes(field_data):
-    d = field_data[("CESM", "TS")]
-    for corr in ("phase", "eq9", None):
-        m = RatioQualityModel(d, "lorenzo", seed=8, correction=corr)
-        est = m.estimate(m.abs_bound(3e-2))
-        assert est["bitrate_huff"] > 0
-    with pytest.raises(ValueError):
-        RatioQualityModel(d, "lorenzo", correction="bogus")
-
-
-def test_phase_correction_beats_none_at_high_eb(field_data):
+def test_phase_correction_beats_none_at_high_eb(field_data, monkeypatch):
     """The correction layer's whole point (§III-D-4): better histogram at
-    high error bounds."""
+    high error bounds than the raw sampled one (α = 0)."""
     d = field_data[("CESM", "TS")]
     rng = float(d.max() - d.min())
     eb = 2e-2 * rng
     meas = pipeline.measure(d, "lorenzo", eb)["bitrate_huff"]
     with_corr = RatioQualityModel(d, "lorenzo", seed=9).estimate(eb)["bitrate_huff"]
-    without = RatioQualityModel(d, "lorenzo", seed=9, correction=None).estimate(eb)[
-        "bitrate_huff"
-    ]
+    monkeypatch.setattr(histogram, "phase_alpha", lambda p, d: 0.0)
+    without = RatioQualityModel(d, "lorenzo", seed=9).estimate(eb)["bitrate_huff"]
+    assert without != with_corr
     assert abs(with_corr - meas) <= abs(without - meas) + 1e-9
+
+
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize("value", [0.0, 5.0])
+def test_estimate_on_constant_field(pred, value):
+    """A constant field has no error and no variance: the model reports
+    infinite PSNR and SSIM 1 instead of dividing 0 by 0."""
+    m = RatioQualityModel(np.full((12, 24, 24), value), pred)
+    est = m.estimate(0.1)
+    assert est["sigma_e2"] == 0.0
+    assert est["psnr"] == float("inf")
+    assert est["ssim"] == 1.0
+    assert np.isfinite(est["bitrate_ll"]) and est["bitrate_ll"] > 0
 
 
 def test_model_deterministic(field_data):

@@ -99,13 +99,13 @@ def test_dump_model_optimization_cheaper_than_tae(spark, outdir):
 
 def test_dump_unknown_method_raises(spark, outdir):
     d = rtm_snapshot(2000, SHAPE)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
         dump_snapshot(spark, d, 2000, outdir, "bogus", n_partitions=1)
 
 
 def test_traditional_requires_rel_eb(spark, outdir):
     d = rtm_snapshot(2000, SHAPE)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="needs traditional_abs_eb"):
         dump_snapshot(spark, d, 2000, outdir, "traditional", n_partitions=1)
 
 
