@@ -28,8 +28,8 @@ from pyspark.sql import functions as F
 from repro import analysis, sci_data
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
-from repro.sparklayer import CHUNK_SCHEMA, table2_metrics
-from repro.sparklayer.chunks import chunk_rows
+from repro.sparklayer import table2_metrics
+from repro.sparklayer.chunks import chunk_rows, layout_chunks
 
 # Not called by ``main``; the benchmark's traced pass (perfbench/wl_table2.py)
 # swaps these names on this module while it times each stream on its own.
@@ -39,8 +39,9 @@ from _common import emit, get_spark
 
 
 def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -> DataFrame:
-    """All 17 Table II fields as one chunk DataFrame, dealt round-robin over
-    about two partitions per core so every task carries several chunks."""
+    """All 17 Table II fields as one chunk DataFrame, laid out by
+    ``layout_chunks`` in one partition per core of about equal bytes, so the
+    executor pass is one task wave with several chunks per task."""
     rows = [
         r
         for spec in sci_data.FIELDS
@@ -48,8 +49,7 @@ def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -
             spec.dataset, spec.field, sci_data.generate(spec.dataset, spec.field, scale), n_chunks
         )
     ]
-    df = spark.createDataFrame(pd.DataFrame(rows), schema=CHUNK_SCHEMA)
-    return df.repartition(min(len(rows), 2 * spark.sparkContext.defaultParallelism))
+    return layout_chunks(spark, rows)
 
 
 def _eq20(ratio: F.Column, name: str) -> F.Column:

@@ -32,6 +32,7 @@ import numpy as np
 from .. import analysis
 from . import huffman, rle
 from .predictors import get_predictor
+from .quantizer import check_field
 
 __all__ = [
     "CompressedField", "compress", "decompress", "measure", "to_bytes", "from_bytes",
@@ -93,10 +94,6 @@ class CompressedField:
         nb = self.nbytes_lossless if lossless else self.nbytes_huffman
         return 8.0 * nb / self.n_points
 
-    def ratio(self, lossless: bool = False, orig_bytes_per_point: int = 4) -> float:
-        nb = self.nbytes_lossless if lossless else self.nbytes_huffman
-        return orig_bytes_per_point * self.n_points / nb
-
     @property
     def p0(self) -> float:
         """Fraction of quantization codes equal to zero."""
@@ -107,7 +104,9 @@ class CompressedField:
 
 
 def compress(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField:
-    """Compress ``data`` with a point-wise absolute error bound ``eb_abs``."""
+    """Compress ``data`` with a point-wise absolute error bound ``eb_abs``.
+    Raises ``ValueError`` for an empty or non-finite field (``check_field``)."""
+    check_field(data)
     pred = get_predictor(predictor)
     codes, extras = pred.compress(data, eb_abs)
     code = huffman.build(codes)

@@ -17,7 +17,7 @@ import numpy as np
 from ..compressor.huffman import codebook_bytes
 from ..compressor.pipeline import HEADER_BYTES
 from ..compressor.predictors import get_predictor
-from ..compressor.quantizer import check_bound
+from ..compressor.quantizer import check_bound, check_field
 from . import histogram, quality_model, ratio_model
 from .sampling import sample_values
 
@@ -25,7 +25,8 @@ __all__ = ["RatioQualityModel"]
 
 
 class RatioQualityModel:
-    """Ratio-quality estimates for one data chunk and one predictor."""
+    """Ratio-quality estimates for one data chunk and one predictor. Raises
+    ``ValueError`` for an empty or non-finite chunk, as ``compress`` does."""
 
     def __init__(
         self,
@@ -34,6 +35,7 @@ class RatioQualityModel:
         sample_rate: float = 0.01,
         seed: int = 0,
     ):
+        check_field(data)
         pred = get_predictor(predictor)
         self.predictor = predictor
         self.shape = tuple(data.shape)

@@ -2,7 +2,8 @@
 
 Scientific fields are carved into chunks (slabs along axis 0 — the unit the
 paper calls a "data partition": one MPI rank's share of a snapshot) and held
-in a DataFrame with a binary payload column. Per-chunk work — building the
+in a DataFrame with a binary payload column, laid out with no shuffle in one
+partition per core (``chunks.layout_chunks``). Per-chunk work — building the
 ratio-quality model, running the real compressor, reporting the sample's
 fidelity, dumping a partition — executes inside Spark executors through the
 one Arrow-backed wrapper ``chunks.per_chunk``. ``table2_metrics`` runs the

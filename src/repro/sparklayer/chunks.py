@@ -4,9 +4,15 @@ A chunk row is ``(dataset, field, chunk_id, dims, dtype, values)`` where
 ``values`` is the raw little-endian buffer of a C-contiguous array of shape
 ``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds a
 contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
-``chunk_rows`` cuts one field; ``array_to_chunks`` turns one field into a
-DataFrame, and the Table II job puts every field's rows into a single one.
-``per_chunk`` is the one place per-chunk work enters the Spark executors.
+``chunk_rows`` cuts one field; ``layout_chunks`` turns chunk rows into a
+DataFrame (``array_to_chunks`` for one field; the Table II job passes every
+field's rows at once). ``per_chunk`` is the one place per-chunk work enters
+the Spark executors.
+
+A chunk is a rank, not a Spark task. ``layout_chunks`` lays ``n`` chunks out
+in ``min(n, defaultParallelism)`` partitions balanced by bytes, with no
+shuffle, so a ``per_chunk`` job runs as one stage of one task wave; each
+task works through its chunks one after another.
 """
 from __future__ import annotations
 
@@ -23,6 +29,7 @@ __all__ = [
     "chunk_rows",
     "chunk_to_array",
     "chunks_to_arrays",
+    "layout_chunks",
     "per_chunk",
 ]
 
@@ -62,6 +69,29 @@ def chunk_rows(dataset: str, field: str, arr: np.ndarray, n_chunks: int) -> list
     return rows
 
 
+def layout_chunks(spark: SparkSession, rows: list[dict]) -> DataFrame:
+    """Chunk rows → DataFrame of ``p = min(len(rows), defaultParallelism)``
+    partitions of about equal bytes, with no shuffle.
+
+    Spark cuts a local relation into ``p`` contiguous runs of rows
+    (``LocalTableScanExec`` parallelizes it in ``min(n, parallelism)``
+    slices; slice ``i`` is rows ``i·n//p`` to ``(i+1)·n//p``). So the rows
+    are dealt here, largest first, each onto the lightest group that still
+    has room for its slice, and the groups are laid out one after another.
+    """
+    n = len(rows)
+    p = min(n, spark.sparkContext.defaultParallelism)
+    room = [(i + 1) * n // p - i * n // p for i in range(p)]
+    groups: list[list[dict]] = [[] for _ in range(p)]
+    load = [0] * p
+    for r in sorted(rows, key=lambda r: len(r["values"]), reverse=True):
+        g = min((i for i in range(p) if len(groups[i]) < room[i]), key=load.__getitem__)
+        groups[g].append(r)
+        load[g] += len(r["values"])
+    laid_out = [r for g in groups for r in g]
+    return spark.createDataFrame(pd.DataFrame(laid_out), schema=CHUNK_SCHEMA)
+
+
 def array_to_chunks(
     spark: SparkSession,
     dataset: str,
@@ -69,9 +99,8 @@ def array_to_chunks(
     arr: np.ndarray,
     n_chunks: int = 4,
 ) -> DataFrame:
-    """One field → chunk DataFrame (see module docstring)."""
-    rows = chunk_rows(dataset, field, arr, n_chunks)
-    return spark.createDataFrame(pd.DataFrame(rows), schema=CHUNK_SCHEMA)
+    """One field → chunk DataFrame of ``n_chunks`` slabs (``layout_chunks``)."""
+    return layout_chunks(spark, chunk_rows(dataset, field, arr, n_chunks))
 
 
 def chunk_to_array(row) -> np.ndarray:

@@ -2,7 +2,11 @@
 stand-in on Spark.
 
 Each RTM snapshot is split across ``n_partitions`` chunks (one per "MPI
-rank"); inside executors each chunk is compressed and its compressed blob
+rank"). Ranks are not Spark tasks: Spark runs them in
+``min(n_partitions, defaultParallelism)`` tasks of one stage
+(``chunks.layout_chunks``), and each rank's phases are timed inside its own
+work, so the rank timings do not depend on how ranks share a task. Inside
+executors each chunk is compressed and its compressed blob
 (``pipeline.to_bytes``: header, codebook, side data and the zlib'd Huffman
 bitstream) is written to its own file on the shared local filesystem (the
 per-rank collective-write role of parallel HDF5). The bytes written are the
@@ -98,7 +102,11 @@ def dump_snapshot(
     candidates_abs: Sequence[float] | None = None,
     io_bytes_per_second: float | None = None,
 ) -> pd.DataFrame:
-    """Dump one snapshot with one method → per-chunk timing rows.
+    """Dump one snapshot with one method → per-chunk timing rows, in
+    ``chunk_id`` order.
+
+    ``n_partitions`` is the number of ranks, i.e. of chunks, files and rows;
+    Spark runs them in ``min(n_partitions, defaultParallelism)`` tasks.
 
     ``io_bytes_per_second`` (optional) models a per-rank parallel-filesystem
     bandwidth budget: the write path sleeps until ``nbytes/bandwidth`` has
@@ -116,7 +124,6 @@ def dump_snapshot(
         raise ValueError("traditional method needs traditional_abs_eb")
     os.makedirs(outdir, exist_ok=True)
     chunks = array_to_chunks(spark, "RTM", str(t), data, n_chunks=n_partitions)
-    chunks = chunks.repartition(n_partitions)
     snap_range = float(
         np.asarray(data, np.float64).max() - np.asarray(data, np.float64).min()
     )
@@ -188,7 +195,7 @@ def dump_snapshot(
             )
         ]
 
-    return per_chunk(chunks, fn, DUMP_SCHEMA).toPandas()
+    return per_chunk(chunks, fn, DUMP_SCHEMA).toPandas().sort_values("chunk_id", ignore_index=True)
 
 
 def offline_worstcase_abs_eb(

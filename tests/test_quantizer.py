@@ -1,10 +1,20 @@
-"""Tests for the linear-scaling quantizer (§III-B)."""
+"""Tests for the linear-scaling quantizer (§III-B) and the input checks
+``compress`` and the model share with it."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compressor import pipeline
 from repro.compressor.quantizer import dequantize, quantize
+from repro.core.model import RatioQualityModel
+
+PREDICTORS = ["lorenzo", "interp", "regression"]
+#: The two entry points that take a field: the compressor and the model.
+ENTRY_POINTS = {
+    "compress": lambda d, predictor: pipeline.compress(d, predictor, 1e-3),
+    "model": lambda d, predictor: RatioQualityModel(d, predictor),
+}
 
 
 def test_quantize_zero_errors():
@@ -56,3 +66,21 @@ def test_quantize_dequantize_idempotent():
     eb = 0.05
     q = quantize(x, eb)
     np.testing.assert_array_equal(quantize(dequantize(q, eb), eb), q)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("predictor", PREDICTORS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_raises(entry, predictor, bad):
+    """A NaN or ±inf value has no error-bounded code and no value range."""
+    d = np.random.default_rng(0).normal(size=(8, 12, 12)).astype(np.float32)
+    d[3, 5, 7] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        ENTRY_POINTS[entry](d, predictor)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_empty_field_raises(entry, predictor):
+    with pytest.raises(ValueError, match="empty"):
+        ENTRY_POINTS[entry](np.zeros((0, 4), np.float32), predictor)

@@ -3,7 +3,9 @@ computation, and Spark SQL aggregations checked against the DuckDB oracle."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import TaskContext
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro import sci_data
 from repro.compressor import pipeline
@@ -18,6 +20,7 @@ from repro.sparklayer import (
     sample_reports,
     table2_metrics,
 )
+from repro.sparklayer.chunks import chunk_rows, layout_chunks, per_chunk
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,45 @@ def test_chunking_single_chunk(spark):
     df = array_to_chunks(spark, "Brown", "pressure", d, n_chunks=1)
     assert df.count() == 1
     np.testing.assert_array_equal(chunk_to_array(df.first().asDict()), d)
+
+
+def test_layout_one_balanced_partition_per_core_without_shuffle(spark):
+    """``layout_chunks`` gives ``min(n, defaultParallelism)`` partitions, each
+    chunk in exactly one, no partition more than the largest chunk above
+    the mean, and ``per_chunk`` over it runs with no ``Exchange``. The two
+    large chunks come first, so contiguous slicing alone would put both in
+    one partition. Partition ids are read inside the executors: a driver-side
+    ``spark_partition_id()`` over a local relation is folded on the driver
+    and reads 0 for every row."""
+    rows = [
+        r
+        for i, n0 in enumerate([40, 40, 2, 3, 1, 2, 5, 2, 1, 3, 2])
+        for r in chunk_rows("T", f"f{i}", np.ones((n0, 64), np.float32), 1)
+    ]
+    p = min(len(rows), spark.sparkContext.defaultParallelism)
+    df = layout_chunks(spark, rows)
+    assert df.rdd.getNumPartitions() == p
+    schema = T.StructType(
+        [
+            T.StructField("field", T.StringType(), False),
+            T.StructField("part", T.IntegerType(), False),
+            T.StructField("nbytes", T.LongType(), False),
+        ]
+    )
+    out = per_chunk(
+        df,
+        lambda row, arr: [
+            dict(field=row["field"], part=TaskContext.get().partitionId(), nbytes=arr.nbytes)
+        ],
+        schema,
+    )
+    pdf = out.toPandas()
+    assert "Exchange" not in out._jdf.queryExecution().executedPlan().toString()
+    assert sorted(pdf["field"]) == sorted(r["field"] for r in rows)
+    loads = pdf.groupby("part")["nbytes"].sum()
+    assert set(loads.index) == set(range(p))
+    sizes = [len(r["values"]) for r in rows]
+    assert loads.max() <= sum(sizes) / p + max(sizes)
 
 
 def test_estimate_udf_matches_local(spark, chunks_df):

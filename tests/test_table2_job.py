@@ -31,7 +31,7 @@ def test_build_corpus_holds_every_chunk_once(spark):
     }
     assert len(keys) == len(set(keys)) == len(expected)
     assert set(keys) == expected
-    assert df.rdd.getNumPartitions() <= 2 * spark.sparkContext.defaultParallelism
+    assert df.rdd.getNumPartitions() == min(len(keys), spark.sparkContext.defaultParallelism)
 
 
 def eq20(ratio: str) -> str:

@@ -62,6 +62,24 @@ def test_dump_snapshot_writes_decodable_partitions(spark, outdir, method):
         assert os.path.getsize(path) == r["nbytes"] == c.nbytes_lossless
 
 
+def test_dump_snapshot_more_ranks_than_tasks(spark, outdir):
+    """Ranks are chunks, not Spark tasks: with one rank more than
+    ``defaultParallelism`` some tasks run two ranks, and every rank still
+    gets its own row and its own decodable file."""
+    ranks = spark.sparkContext.defaultParallelism + 1
+    shape = (2 * ranks, 12, 12)
+    d = rtm_snapshot(2200, shape)
+    pdf = dump_snapshot(
+        spark, d, 2200, outdir, "model", target_psnr_db=TARGET, n_partitions=ranks
+    )
+    assert sorted(pdf["chunk_id"]) == list(range(ranks))
+    for _, r in pdf.iterrows():
+        cid = int(r["chunk_id"])
+        rec = read_partition_file(os.path.join(outdir, f"t2200_model_p{cid}.bin"))
+        orig = np.asarray(d[2 * cid : 2 * cid + 2], np.float64)
+        assert np.max(np.abs(rec - orig)) <= r["eb_abs"] * (1 + 1e-9)
+
+
 def test_dump_snapshot_rejects_codes_outside_int32(spark, outdir):
     """A 1e6-range field at eb = 1e-5 has Lorenzo codes beyond int32. The
     dump must fail rather than write a file that breaks the bound."""
