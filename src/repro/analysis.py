@@ -4,6 +4,10 @@ These are the *measured* counterparts of the quality model in
 ``repro.core.quality_model``. SSIM is the global-statistics form the paper's
 derivation (Eq. 16) starts from, with the standard constants
 ``C3=(K2·range)²`` (variance term) and ``C4=(K1·range)²`` (mean term).
+
+Both metrics scale the error by the value range, so a constant field
+(range 0) gives them nothing to measure it against: it reads PSNR = inf and
+SSIM = 1, as an exact reconstruction does, in the model as well.
 """
 from __future__ import annotations
 
@@ -20,21 +24,25 @@ def value_range(data: np.ndarray) -> float:
 
 
 def psnr(orig: np.ndarray, recon: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB (Eq. 14), peak = value range."""
+    """Peak signal-to-noise ratio in dB (Eq. 14), peak = value range; inf for
+    an exact reconstruction or a constant field."""
     o = np.asarray(orig, dtype=np.float64)
     r = np.asarray(recon, dtype=np.float64)
     mse = float(np.mean((o - r) ** 2))
     rng = value_range(o)
-    if mse == 0:
+    if mse == 0 or rng == 0:
         return float("inf")
     return 10.0 * np.log10(rng * rng / mse)
 
 
 def ssim_global(orig: np.ndarray, recon: np.ndarray) -> float:
-    """Global-statistics SSIM (Eq. 16) with standard K1/K2 constants."""
+    """Global-statistics SSIM (Eq. 16) with standard K1/K2 constants; 1.0 for
+    an exact reconstruction or a constant field, where Eq. 16 is 0/0."""
     o = np.asarray(orig, dtype=np.float64).ravel()
     r = np.asarray(recon, dtype=np.float64).ravel()
     rng = value_range(o)
+    if rng == 0 or np.array_equal(o, r):
+        return 1.0
     c4 = (_K1 * rng) ** 2  # mean (luminance) constant
     c3 = (_K2 * rng) ** 2  # variance (contrast/structure) constant
     mu_o, mu_r = o.mean(), r.mean()

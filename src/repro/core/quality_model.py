@@ -113,17 +113,18 @@ def sigma_e2_interp(
 
 
 def psnr_est(value_range: float, s2: float) -> float:
-    """Eq. (12)."""
-    if s2 <= 0:
+    """Eq. (12); inf with no error (``s2 == 0``) or no range (a constant
+    field, where Eq. (12) is log10(0)), as the measured PSNR."""
+    if s2 <= 0 or value_range == 0:
         return float("inf")
     return float(20.0 * np.log10(value_range) - 10.0 * np.log10(s2))
 
 
 def ssim_est(sigma_d2: float, s2: float, value_range: float) -> float:
     """Eq. (15); C3 = (K2·range)² as in the measured SSIM. No error
-    (``s2 == 0``) gives 1.0, also for a constant field where Eq. (15) is
-    0/0."""
-    if s2 == 0:
+    (``s2 == 0``) or no range (a constant field) gives 1.0, as the measured
+    SSIM."""
+    if s2 == 0 or value_range == 0:
         return 1.0
     c3 = (_K2 * value_range) ** 2
     return float((2.0 * sigma_d2 + c3) / (2.0 * sigma_d2 + c3 + s2))

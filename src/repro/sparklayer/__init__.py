@@ -6,7 +6,9 @@ in a DataFrame with a binary payload column, laid out with no shuffle in one
 partition per core (``chunks.layout_chunks``). Per-chunk work — building the
 ratio-quality model, running the real compressor, reporting the sample's
 fidelity, dumping a partition — executes inside Spark executors through the
-one Arrow-backed wrapper ``chunks.per_chunk``. ``table2_metrics`` runs the
+one Arrow-backed wrapper ``chunks.per_chunk``, which also ends each task by
+dropping the worker's cached ``pyspark.zip`` finders so that the worker's
+next task starts without re-reading the archive. ``table2_metrics`` runs the
 model, the compressor and the sample report in one pass over the chunks and
 emits one wide row per (chunk, predictor, error bound) with the estimate and
 the measurement side by side, so the Table II job deserializes each chunk

@@ -156,6 +156,22 @@ def test_estimate_on_constant_field(pred, value):
     assert np.isfinite(est["bitrate_ll"]) and est["bitrate_ll"] > 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize("value, eb, exact", [(5.0, 0.5, True), (5.3, 0.3, False)])
+def test_measure_and_estimate_agree_on_constant_field(pred, value, eb, exact):
+    """A constant field has no value range, so whether or not the
+    reconstruction is exact, the measurement and the model both read
+    PSNR = inf and SSIM = 1, with no 0/0 or log10(0) on the way."""
+    d = np.full((8, 8, 8), value)
+    meas = pipeline.measure(d, pred, eb)
+    est = RatioQualityModel(d, pred).estimate(eb)
+    assert (meas["max_err"] == 0.0) == exact
+    assert meas["max_err"] <= eb
+    assert meas["psnr"] == est["psnr"] == float("inf")
+    assert meas["ssim"] == est["ssim"] == 1.0
+
+
 def test_model_deterministic(field_data):
     d = field_data[("SCALE", "PRES")]
     a = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)

@@ -1,5 +1,10 @@
 """Spark integration tests: chunk round-trips, executor-side UDFs vs local
 computation, and Spark SQL aggregations checked against the DuckDB oracle."""
+import os
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -20,7 +25,7 @@ from repro.sparklayer import (
     sample_reports,
     table2_metrics,
 )
-from repro.sparklayer.chunks import chunk_rows, layout_chunks, per_chunk
+from repro.sparklayer.chunks import _drop_zip_finders, chunk_rows, layout_chunks, per_chunk
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +101,69 @@ def test_layout_one_balanced_partition_per_core_without_shuffle(spark):
     assert set(loads.index) == set(range(p))
     sizes = [len(r["values"]) for r in rows]
     assert loads.max() <= sum(sizes) / p + max(sizes)
+
+
+def _zip_finder_paths() -> list[str]:
+    return [p for p, f in sys.path_importer_cache.items() if isinstance(f, zipimport.zipimporter)]
+
+
+def test_drop_zip_finders_keeps_zip_imports_working(tmp_path):
+    """Dropping the cached ``zipimporter`` finders loses no import: the next
+    import from the same archive builds a new finder and loads the module."""
+    archive = tmp_path / "zpkg.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zpkg/__init__.py", "")
+        z.writestr("zpkg/first.py", "VALUE = 1\n")
+        z.writestr("zpkg/second.py", "VALUE = 2\n")
+    sys.path.insert(0, str(archive))
+    try:
+        import zpkg.first
+
+        assert zpkg.first.VALUE == 1
+        assert any(p.startswith(str(archive)) for p in _zip_finder_paths())
+        _drop_zip_finders()
+        assert _zip_finder_paths() == []
+        import zpkg.second
+
+        assert zpkg.second.VALUE == 2
+    finally:
+        sys.path.remove(str(archive))
+        for name in ("zpkg", "zpkg.first", "zpkg.second"):
+            sys.modules.pop(name, None)
+        _drop_zip_finders()
+
+
+def test_per_chunk_leaves_reused_workers_no_zip_finders(spark):
+    """PySpark's worker calls ``importlib.invalidate_caches()`` at the start of
+    every task, which re-reads ``pyspark.zip`` once per cached ``zipimporter``.
+    A worker that already ran a ``per_chunk`` task holds none of them."""
+    p = spark.sparkContext.defaultParallelism
+    df = array_to_chunks(spark, "T", "f", np.zeros((p, 4), np.float32), n_chunks=p)
+    schema = T.StructType(
+        [
+            T.StructField("pid", T.LongType(), False),
+            T.StructField("n_zip", T.LongType(), False),
+        ]
+    )
+
+    # Counted inline so that ``fn`` pickles by value: the workers never
+    # import this test module.
+    def fn(row, arr):
+        n_zip = sum(
+            isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values()
+        )
+        return [dict(pid=os.getpid(), n_zip=n_zip)]
+
+    seen: set[int] = set()
+    reused = 0
+    for _ in range(3):
+        pdf = per_chunk(df, fn, schema).toPandas()
+        assert len(pdf) == p
+        ran_before = pdf[pdf["pid"].isin(seen)]
+        reused += len(ran_before)
+        assert (ran_before["n_zip"] == 0).all(), ran_before
+        seen.update(pdf["pid"])
+    assert reused > 0
 
 
 def test_estimate_udf_matches_local(spark, chunks_df):
