@@ -1,8 +1,10 @@
 """Benchmarks for the use-case harnesses (Tables E3–E5), including the
-Spark-parallel dump path (one round — each call is a full Spark job)."""
+Spark-parallel dump path (one round — each call is a full Spark job) and the
+fixed cost of one ``per_chunk`` job."""
 import pytest
 
 from repro.sci_data import rtm_snapshot
+from repro.sparklayer.chunks import chunk_rows, layout_chunks, per_chunk
 from repro.usecases.data_dump import dump_snapshot
 from repro.usecases.insitu import budgeted_allocation, per_snapshot_models
 from repro.usecases.memory_target import plan_and_compress
@@ -34,3 +36,17 @@ def test_dump_snapshot_spark(benchmark, spark, tmp_path, method, snap):
         rounds=2,
         iterations=1,
     )
+
+
+def test_per_chunk_noop_job(benchmark, spark):
+    """One ``per_chunk`` job whose per-chunk work does nothing, over the
+    8-slab layout of one dump snapshot (32x96x96 RTM, 1.2 MB): the per-job
+    cost Spark adds to every dumped snapshot."""
+    rows = chunk_rows("RTM", "2000", rtm_snapshot(2000, (32, 96, 96)), 8)
+
+    def job():
+        chunks = layout_chunks(spark, rows)
+        return per_chunk(chunks, lambda row, arr: [{"chunk_id": row["chunk_id"]}]).collect()
+
+    out = benchmark.pedantic(job, rounds=20, iterations=1, warmup_rounds=2)
+    assert sorted(r["chunk_id"] for r in out) == list(range(8))

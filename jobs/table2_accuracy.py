@@ -22,6 +22,7 @@ import argparse
 
 import numpy as np
 import pandas as pd
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -38,8 +39,8 @@ from repro.sparklayer import estimate_metrics, measure_metrics, sample_reports  
 from _common import emit, get_spark
 
 
-def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -> DataFrame:
-    """All 17 Table II fields as one chunk DataFrame, laid out by
+def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -> RDD:
+    """All 17 Table II fields as one chunk RDD, laid out by
     ``layout_chunks`` in one partition per core of about equal bytes, so the
     executor pass is one task wave with several chunks per task."""
     rows = [

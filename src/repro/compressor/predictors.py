@@ -20,7 +20,9 @@ Vectorization notes
   each axis's midpoints are predicted as the mean of their two reconstructed
   neighbours; every point in a (level, axis) group is independent, so each
   group is one vectorized slice operation. Anchor points at the coarsest
-  stride are stored raw (float32), as SZ3 does.
+  stride are stored raw (float32), as SZ3 does; ``compress`` raises
+  ``ValueError`` when float32 anchors would miss a (float64) field by more
+  than the error bound.
 * **Regression** fits ``β0 + Σ βa·xa`` per 6^d block on original data;
   predictions depend only on the (stored, float32) coefficients, never on
   reconstructed neighbours, so the whole stage vectorizes over blocks.
@@ -202,6 +204,8 @@ class Interpolation(_Base):
         anchors = d[anchors_sl].astype(np.float32)
         r = np.zeros_like(d)
         r[anchors_sl] = anchors.astype(np.float64)
+        if np.abs(r[anchors_sl] - d[anchors_sl]).max() > eb:
+            raise ValueError("interp anchors are stored as float32, which misses this field by more than eb")
         parts = []
         for s, ax, tgt, base, nt in _interp_groups(shape, s0):
             pred = _axis_mid_pred(r[base], nt, ax)
@@ -245,6 +249,8 @@ class Interpolation(_Base):
             errs.append(e[idx])
             wts.append(np.full(m, e.size / m))
             gids.append(np.full(m, gi, dtype=np.int64))
+        if not errs:  # every point is an anchor (e.g. a single point): no codes
+            return SampledErrors(np.empty(0), np.empty(0), np.empty(0, np.int64))
         return SampledErrors(
             np.concatenate(errs), np.concatenate(wts), np.concatenate(gids)
         )

@@ -21,8 +21,12 @@ def sample_values(data: np.ndarray, rate: float = 0.01, seed: int = 0) -> np.nda
 
 
 def weighted_std(x: np.ndarray, w: np.ndarray) -> float:
+    """Weighted standard deviation; 0.0 for an empty sample (a field whose
+    points are all interpolation anchors has no prediction errors)."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
+    if x.size == 0:
+        return 0.0
     mu = float((w * x).sum() / w.sum())
     return float(np.sqrt((w * (x - mu) ** 2).sum() / w.sum()))
 

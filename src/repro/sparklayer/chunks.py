@@ -1,13 +1,16 @@
-"""Chunked DataFrame representation of scientific fields.
+"""Chunk RDDs: scientific fields cut into pickled per-rank slabs.
 
-A chunk row is ``(dataset, field, chunk_id, dims, dtype, values)`` where
-``values`` is the raw little-endian buffer of a C-contiguous array of shape
-``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds a
-contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
-``chunk_rows`` cuts one field; ``layout_chunks`` turns chunk rows into a
-DataFrame (``array_to_chunks`` for one field; the Table II job passes every
+A chunk row is a dict ``{dataset, field, chunk_id, dims, dtype, values}``
+where ``values`` is the raw little-endian buffer of a C-contiguous array of
+shape ``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds
+a contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
+``chunk_rows`` cuts one field; ``layout_chunks`` turns chunk rows into an
+RDD (``array_to_chunks`` for one field; the Table II job passes every
 field's rows at once). ``per_chunk`` is the one place per-chunk work enters
-the Spark executors.
+the Spark executors. Chunks travel as pickled dicts through the RDD API: a
+chunk is an opaque blob that a columnar format cannot help with, so the
+per-chunk path makes no Arrow or pandas conversion, and Spark SQL starts only
+at the metric rows (``model_udf``).
 
 A chunk is a rank, not a Spark task. ``layout_chunks`` lays ``n`` chunks out
 in ``min(n, defaultParallelism)`` partitions balanced by bytes, with no
@@ -24,12 +27,10 @@ import zipimport
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
+from pyspark import RDD
+from pyspark.sql import SparkSession
 
 __all__ = [
-    "CHUNK_SCHEMA",
     "array_to_chunks",
     "chunk_rows",
     "chunk_to_array",
@@ -37,17 +38,6 @@ __all__ = [
     "layout_chunks",
     "per_chunk",
 ]
-
-CHUNK_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType(), False),
-        T.StructField("field", T.StringType(), False),
-        T.StructField("chunk_id", T.IntegerType(), False),
-        T.StructField("dims", T.ArrayType(T.IntegerType()), False),
-        T.StructField("dtype", T.StringType(), False),
-        T.StructField("values", T.BinaryType(), False),
-    ]
-)
 
 
 def chunk_rows(dataset: str, field: str, arr: np.ndarray, n_chunks: int) -> list[dict]:
@@ -74,27 +64,25 @@ def chunk_rows(dataset: str, field: str, arr: np.ndarray, n_chunks: int) -> list
     return rows
 
 
-def layout_chunks(spark: SparkSession, rows: list[dict]) -> DataFrame:
-    """Chunk rows → DataFrame of ``p = min(len(rows), defaultParallelism)``
+def layout_chunks(spark: SparkSession, rows: list[dict]) -> RDD:
+    """Chunk rows → RDD of ``p = min(len(rows), defaultParallelism)``
     partitions of about equal bytes, with no shuffle.
 
-    Spark cuts a local relation into ``p`` contiguous runs of rows
-    (``LocalTableScanExec`` parallelizes it in ``min(n, parallelism)``
-    slices; slice ``i`` is rows ``i·n//p`` to ``(i+1)·n//p``). So the rows
-    are dealt here, largest first, each onto the lightest group that still
-    has room for its slice, and the groups are laid out one after another.
+    The rows are dealt here, largest first, each onto the lightest of ``p``
+    groups, and each group becomes exactly one partition: ``parallelize``
+    gets the ``p`` groups as ``p`` elements. (Given the flat list, PySpark
+    would slice it at batch boundaries, not at ``i·n//p``:
+    ``parallelize(range(10), 4)`` gives runs of 2/2/2/4.)
     """
-    n = len(rows)
-    p = min(n, spark.sparkContext.defaultParallelism)
-    room = [(i + 1) * n // p - i * n // p for i in range(p)]
+    sc = spark.sparkContext
+    p = min(len(rows), sc.defaultParallelism)
     groups: list[list[dict]] = [[] for _ in range(p)]
     load = [0] * p
     for r in sorted(rows, key=lambda r: len(r["values"]), reverse=True):
-        g = min((i for i in range(p) if len(groups[i]) < room[i]), key=load.__getitem__)
+        g = min(range(p), key=load.__getitem__)
         groups[g].append(r)
         load[g] += len(r["values"])
-    laid_out = [r for g in groups for r in g]
-    return spark.createDataFrame(pd.DataFrame(laid_out), schema=CHUNK_SCHEMA)
+    return sc.parallelize(groups, p).flatMap(iter)
 
 
 def array_to_chunks(
@@ -103,51 +91,45 @@ def array_to_chunks(
     field: str,
     arr: np.ndarray,
     n_chunks: int = 4,
-) -> DataFrame:
-    """One field → chunk DataFrame of ``n_chunks`` slabs (``layout_chunks``)."""
+) -> RDD:
+    """One field → chunk RDD of ``n_chunks`` slabs (``layout_chunks``)."""
     return layout_chunks(spark, chunk_rows(dataset, field, arr, n_chunks))
 
 
-def chunk_to_array(row) -> np.ndarray:
-    """Row (Row or dict-like) → numpy array."""
+def chunk_to_array(row: dict) -> np.ndarray:
+    """Chunk row → numpy array (a read-only view of its ``values``)."""
     return np.frombuffer(row["values"], dtype=np.dtype(row["dtype"])).reshape(
         tuple(row["dims"])
     )
 
 
-def chunks_to_arrays(df: DataFrame) -> dict[tuple[str, str, int], np.ndarray]:
-    """Collect a chunk DataFrame → {(dataset, field, chunk_id): array}."""
+def chunks_to_arrays(chunks: RDD) -> dict[tuple[str, str, int], np.ndarray]:
+    """Collect a chunk RDD → {(dataset, field, chunk_id): array}."""
     return {
         (r["dataset"], r["field"], int(r["chunk_id"])): chunk_to_array(r)
-        for r in df.collect()
+        for r in chunks.collect()
     }
 
 
-def per_chunk(
-    chunks: DataFrame,
-    fn: Callable[[dict, np.ndarray], Iterable[dict]],
-    schema: T.StructType,
-) -> DataFrame:
-    """Run ``fn(row, array)`` on every chunk inside the executors.
+def per_chunk(chunks: RDD, fn: Callable[[dict, np.ndarray], Iterable[dict]]) -> RDD:
+    """Run ``fn(row, array)`` on every chunk inside the executors → RDD of
+    ``fn``'s output dicts.
 
-    ``row`` is the chunk row as a dict and ``array`` its decoded values;
-    ``fn`` returns that chunk's output rows as dicts. Each chunk's rows
-    become one pandas frame with ``schema``'s columns, in the order the
-    partition holds the chunks (Arrow ``mapInPandas``). Each task ends by
-    dropping the worker's cached zip finders (``_drop_zip_finders``), so a
-    reused worker starts its next task without re-reading ``pyspark.zip``.
+    ``row`` is the chunk row and ``array`` its decoded values; ``fn`` returns
+    that chunk's output rows as dicts, which follow one another in the order
+    the partition holds the chunks. Each task ends by dropping the worker's
+    cached zip finders (``_drop_zip_finders``), so a reused worker starts its
+    next task without re-reading ``pyspark.zip``.
     """
-    cols = schema.fieldNames()
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run(rows: Iterator[dict]) -> Iterator[dict]:
         try:
-            for pdf in batches:
-                for row in pdf.to_dict("records"):
-                    yield pd.DataFrame(fn(row, chunk_to_array(row)), columns=cols)
+            for row in rows:
+                yield from fn(row, chunk_to_array(row))
         finally:
             _drop_zip_finders()
 
-    return chunks.mapInPandas(run, schema=schema)
+    return chunks.mapPartitions(run)
 
 
 def _drop_zip_finders() -> None:
@@ -157,7 +139,8 @@ def _drop_zip_finders() -> None:
     every task (``setup_spark_files`` in ``pyspark/worker_util.py``). The
     worker imports PySpark from ``$SPARK_HOME/python/lib/pyspark.zip``
     (3.5 MB, first on its ``PYTHONPATH``), which leaves one cached
-    ``zipimporter`` per package directory, 16 after a ``mapInPandas`` task.
+    ``zipimporter`` per package directory: a newly forked worker already
+    holds 16 when its first task starts.
     In CPython 3.11 ``zipimporter.invalidate_caches`` re-reads the archive's
     whole central directory, ~20 ms per cached finder, so a reused worker
     spent 0.16-0.44 s of each task there before reading its command

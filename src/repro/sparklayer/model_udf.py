@@ -1,5 +1,5 @@
 """Per-partition ratio-quality modeling and ground-truth compression,
-as ``per_chunk`` transformations over chunk DataFrames.
+as ``per_chunk`` transformations over chunk RDDs.
 
 Three module-level generators turn one chunk and one predictor into rows:
 ``_estimate_rows`` runs the paper's model (one-time 1% sample, then
@@ -14,6 +14,10 @@ pass and emits one wide row per (chunk, predictor, error bound) holding the
 estimate, the measurement and the chunk's sample report, so the Table II job
 deserializes each chunk once and needs no join: its Spark SQL is one
 ``groupBy``.
+
+Spark SQL starts here: each public function turns its RDD of row dicts into
+a DataFrame with one ``createDataFrame(rdd, schema)`` (``_to_dataframe``),
+after converting every value to the schema's Python type.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ import time
 from typing import Iterator, Sequence
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark import RDD
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from ..compressor import pipeline
@@ -76,7 +81,7 @@ _METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "psnr": "psnr", "ssim": 
 #: One Table II row per (chunk, predictor, error bound): the model's estimate
 #: (``e_*``) and the compressor's measurement (``m_*``) side by side, plus the
 #: chunk's sample report. ``m_ssim`` is null where SSIM is not measured
-#: (1D/4D chunks: Arrow turns the NaN into a null).
+#: (1D/4D chunks: ``_to_dataframe`` turns the NaN into a null).
 TABLE2_SCHEMA = T.StructType(
     [METRIC_SCHEMA[k] for k in _KEYS]
     + [
@@ -86,6 +91,26 @@ TABLE2_SCHEMA = T.StructType(
     ]
     + [SAMPLE_SCHEMA["sample_err"]]
 )
+
+
+_PY_TYPES = {T.StringType: str, T.IntegerType: int, T.LongType: int, T.DoubleType: float}
+
+
+def _to_dataframe(rows: RDD, schema: T.StructType) -> DataFrame:
+    """RDD of row dicts → DataFrame with ``schema``.
+
+    Every value becomes the schema's Python type (numpy scalars do not
+    pickle to the JVM), and a NaN becomes null where the field is nullable.
+    """
+    cols = [(f.name, _PY_TYPES[type(f.dataType)], f.nullable) for f in schema]
+
+    def as_tuple(r: dict) -> tuple:
+        return tuple(
+            None if nullable and (r[k] is None or r[k] != r[k]) else typ(r[k])
+            for k, typ, nullable in cols
+        )
+
+    return SparkSession.builder.getOrCreate().createDataFrame(rows.map(as_tuple), schema)
 
 
 def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
@@ -150,7 +175,7 @@ def _sample_row(row, arr: np.ndarray, predictor: str, rate: float, seed: int) ->
 
 
 def estimate_metrics(
-    chunks: DataFrame,
+    chunks: RDD,
     predictors: Sequence[str],
     ebs_rel: Sequence[float],
     seed: int = 0,
@@ -169,11 +194,11 @@ def estimate_metrics(
         for p in preds:
             yield from _estimate_rows(row, arr, p, ebs, seed)
 
-    return per_chunk(chunks, fn, METRIC_SCHEMA)
+    return _to_dataframe(per_chunk(chunks, fn), METRIC_SCHEMA)
 
 
 def measure_metrics(
-    chunks: DataFrame, predictors: Sequence[str], ebs_rel: Sequence[float]
+    chunks: RDD, predictors: Sequence[str], ebs_rel: Sequence[float]
 ) -> DataFrame:
     """Ground truth per (chunk, predictor, error bound): full compression +
     decompression + analysis, i.e. one trial of the trial-and-error loop."""
@@ -184,21 +209,20 @@ def measure_metrics(
         for p in preds:
             yield from _measure_rows(row, arr, p, ebs)
 
-    return per_chunk(chunks, fn, METRIC_SCHEMA)
+    return _to_dataframe(per_chunk(chunks, fn), METRIC_SCHEMA)
 
 
 def sample_reports(
-    chunks: DataFrame, predictor: str, rate: float = 0.01, seed: int = 0
+    chunks: RDD, predictor: str, rate: float = 0.01, seed: int = 0
 ) -> DataFrame:
     """Table II "Sample Err." rows: fidelity of the sampled prediction-error
     distribution per chunk (std deviation relative to value range)."""
-    return per_chunk(
-        chunks, lambda row, arr: [_sample_row(row, arr, predictor, rate, seed)], SAMPLE_SCHEMA
-    )
+    rows = per_chunk(chunks, lambda row, arr: [_sample_row(row, arr, predictor, rate, seed)])
+    return _to_dataframe(rows, SAMPLE_SCHEMA)
 
 
 def table2_metrics(
-    chunks: DataFrame,
+    chunks: RDD,
     predictors: Sequence[str],
     ebs_rel: Sequence[float],
     seed: int = 0,
@@ -223,4 +247,4 @@ def table2_metrics(
                     out[f"e_{col}"], out[f"m_{col}"] = e[metric], m[metric]
                 yield out | {"sample_err": sample_err}
 
-    return per_chunk(chunks, fn, TABLE2_SCHEMA)
+    return _to_dataframe(per_chunk(chunks, fn), TABLE2_SCHEMA)

@@ -11,6 +11,9 @@ executors each chunk is compressed and its compressed blob
 bitstream) is written to its own file on the shared local filesystem (the
 per-rank collective-write role of parallel HDF5). The bytes written are the
 bytes accounted (``nbytes``), and ``read_partition_file`` decodes them back.
+Each rank's timing row returns to the driver as a pickled dict
+(``per_chunk(...).collect()``) and the rows become one pandas frame: the dump
+makes no Spark SQL call.
 Three methods, as in Fig. 14:
 
 * **traditional** — one static offline error bound for every snapshot (the
@@ -33,7 +36,6 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
 from .. import analysis
 from ..compressor import pipeline
@@ -42,7 +44,6 @@ from ..sci_data import rtm_snapshot
 from ..sparklayer.chunks import array_to_chunks, per_chunk
 
 __all__ = [
-    "DUMP_SCHEMA",
     "dump_snapshot",
     "run_dump_study",
     "read_partition_file",
@@ -64,24 +65,6 @@ CANDIDATE_SCALES: tuple[float, ...] = (3e-2, 3e-3, 3e-4, 3e-5, 3e-6)
 def candidate_abs_ebs(reference_range: float) -> tuple[float, ...]:
     """The five shared absolute candidate bounds for a dump run."""
     return tuple(s * reference_range for s in CANDIDATE_SCALES)
-
-DUMP_SCHEMA = T.StructType(
-    [
-        T.StructField("t", T.IntegerType(), False),
-        T.StructField("method", T.StringType(), False),
-        T.StructField("chunk_id", T.IntegerType(), False),
-        T.StructField("opt_seconds", T.DoubleType(), False),
-        T.StructField("compress_seconds", T.DoubleType(), False),
-        T.StructField("io_seconds", T.DoubleType(), False),
-        T.StructField("nbytes", T.LongType(), False),
-        T.StructField("eb_abs", T.DoubleType(), False),
-        T.StructField("psnr", T.DoubleType(), False),
-        T.StructField("mse", T.DoubleType(), False),
-        T.StructField("n_points", T.LongType(), False),
-        T.StructField("vmin", T.DoubleType(), False),
-        T.StructField("vmax", T.DoubleType(), False),
-    ]
-)
 
 def read_partition_file(path: str) -> np.ndarray:
     """Decompress a partition file written by :func:`dump_snapshot`."""
@@ -195,7 +178,8 @@ def dump_snapshot(
             )
         ]
 
-    return per_chunk(chunks, fn, DUMP_SCHEMA).toPandas().sort_values("chunk_id", ignore_index=True)
+    rows = per_chunk(chunks, fn).collect()
+    return pd.DataFrame(rows).sort_values("chunk_id", ignore_index=True)
 
 
 def offline_worstcase_abs_eb(

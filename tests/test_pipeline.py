@@ -150,20 +150,51 @@ _shapes = st.lists(st.integers(1, 9), min_size=1, max_size=4).filter(
 )
 
 
-@settings(max_examples=80, deadline=None)
+_INT32 = np.iinfo(np.int32)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(PREDS),
     _shapes,
-    st.floats(-6, 1),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([k / 4 for k in range(-48, 5)]),  # log10(eb / range), uniform
     st.integers(0, 2**32 - 1),
 )
-def test_to_bytes_from_bytes_roundtrip_property(pred, shape, log_eb, seed):
+def test_to_bytes_from_bytes_roundtrip_property(pred, shape, dtype, log_eb, seed):
+    """1-4D shapes with axes of 1-9 points (length-1 axes and fields under 64
+    points included), float32 or float64, eb from 1e-12 to 10 x range: the
+    blob round-trips bit for bit and its read-back stays within eb wherever
+    the codes fit the codebook's int32. A code outside int32, and float64
+    interp anchors that float32 misses by more than eb, raise instead."""
     rng = np.random.default_rng(seed)
     d = np.cumsum(rng.normal(size=shape), axis=-1) * 10.0 ** rng.uniform(-3, 6)
-    d -= d.mean()  # |x| <= range: Lorenzo codes stay within int32 at eb >= 1e-6 x range
+    d = (d - d.mean()).astype(dtype)
     vrange = float(d.max() - d.min()) or 1.0
-    c = pipeline.compress(d, pred, 10.0**log_eb * vrange)
-    _assert_roundtrip(c)
+    eb = 10.0**log_eb * vrange
+    try:
+        c = pipeline.compress(d, pred, eb)
+    except ValueError as exc:
+        assert pred == "interp" and dtype is np.float64 and "anchors" in str(exc), exc
+        return
+    if c.codes.size and not _INT32.min <= c.codes.min() <= c.codes.max() <= _INT32.max:
+        with pytest.raises(ValueError, match="int32"):
+            pipeline.to_bytes(c)
+        return
+    rec = pipeline.decompress(pipeline.from_bytes(_assert_roundtrip(c)))
+    assert np.abs(rec - d.astype(np.float64)).max() <= eb * (1 + 1e-9)
+
+
+def test_interp_rejects_float64_anchors_that_float32_misses():
+    """Interp stores its anchors as float32: a float64 field whose anchors
+    lose more than eb to float32 rounding raises; the same values as
+    float32, whose anchors are exact, read back within eb."""
+    d = np.linspace(0.1, 0.9, 9)
+    with pytest.raises(ValueError, match="anchors"):
+        pipeline.compress(d, "interp", 1e-10)
+    d32 = d.astype(np.float32)
+    rec = pipeline.decompress(pipeline.from_bytes(pipeline.to_bytes(pipeline.compress(d32, "interp", 1e-10))))
+    assert np.abs(rec - d32.astype(np.float64)).max() <= 1e-10 * (1 + 1e-9)
 
 
 def test_blob_with_raw_body():

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from repro import sci_data
+from repro.compressor import pipeline
+from repro.compressor.pipeline import HEADER_BYTES
 from repro.core.model import RatioQualityModel
 from repro.core.sampling import sample_error_report, sample_values, weighted_std
 
@@ -59,3 +61,31 @@ def test_model_on_fewer_points_than_sampling_floor(shape, pred):
     assert all(np.isfinite(est[k]) for k in ("bitrate_huff", "bitrate_ll", "psnr", "ssim"))
     rep = sample_error_report(d, pred, rate=0.01, seed=0)
     assert rep["sample_err"] == pytest.approx(0.0, abs=1e-12)  # sampled = whole field
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
+@pytest.mark.parametrize("shape", [(1,), (1, 1, 1)])
+def test_model_on_single_point_field(shape, pred):
+    """A single point is all anchor for interp: no codes, so the model's
+    sample is empty, its bit-rate is the container overhead alone, exactly
+    what ``compress`` writes, and PSNR is inf for the exactly stored anchor.
+    Every predictor builds, estimates and reports without a warning."""
+    d = np.full(shape, 2.5, np.float32)
+    eb = 0.1
+    m = RatioQualityModel(d, pred, seed=0)
+    est = m.estimate(eb)
+    meas = pipeline.measure(d, pred, eb)
+    assert est["psnr"] == meas["psnr"] == np.inf
+    assert est["ssim"] == meas["ssim"] == 1.0
+    assert all(np.isfinite(est[k]) and est[k] > 0 for k in ("bitrate_huff", "bitrate_ll"))
+    rep = sample_error_report(d, pred, rate=0.01, seed=0)
+    assert rep == {"std_full": 0.0, "std_sample": 0.0, "sample_err": 0.0}
+    c = pipeline.compress(d, pred, eb)
+    rec = pipeline.decompress(pipeline.from_bytes(pipeline.to_bytes(c)))
+    assert np.abs(rec - d).max() <= eb
+    if pred == "interp":
+        np.testing.assert_array_equal(rec, d)
+        assert m.errors.size == m.weights.size == m.coded_count == c.codes.size == 0
+        overhead = 8.0 * (HEADER_BYTES + m.side_bytes)
+        assert est["bitrate_huff"] == est["bitrate_ll"] == overhead == meas["bitrate_ll"]

@@ -1,5 +1,7 @@
-"""Spark integration tests: chunk round-trips, executor-side UDFs vs local
-computation, and Spark SQL aggregations checked against the DuckDB oracle."""
+"""Spark integration tests: chunk RDD round-trips and layout, executor-side
+per-chunk work vs local computation, and Spark SQL aggregations checked
+against the DuckDB oracle."""
+import math
 import os
 import sys
 import zipfile
@@ -29,78 +31,94 @@ from repro.sparklayer.chunks import _drop_zip_finders, chunk_rows, layout_chunks
 
 
 @pytest.fixture(scope="module")
-def chunks_df(spark):
+def chunks_rdd(spark):
     d = sci_data.generate("SCALE", "PRES", "test")
     return array_to_chunks(spark, "SCALE", "PRES", d, n_chunks=3).cache()
 
 
 @pytest.fixture(scope="module")
-def metrics_df(spark, chunks_df):
-    est = estimate_metrics(chunks_df, ["lorenzo", "interp"], [1e-3, 1e-2], seed=1)
-    meas = measure_metrics(chunks_df, ["lorenzo", "interp"], [1e-3, 1e-2])
+def metrics_df(spark, chunks_rdd):
+    est = estimate_metrics(chunks_rdd, ["lorenzo", "interp"], [1e-3, 1e-2], seed=1)
+    meas = measure_metrics(chunks_rdd, ["lorenzo", "interp"], [1e-3, 1e-2])
     return est.unionByName(meas).cache()
 
 
-def test_chunk_roundtrip_exact(spark, chunks_df):
+def test_chunk_roundtrip_exact(spark, chunks_rdd):
     d = sci_data.generate("SCALE", "PRES", "test")
-    arrs = chunks_to_arrays(chunks_df)
+    arrs = chunks_to_arrays(chunks_rdd)
     rebuilt = np.concatenate([arrs[("SCALE", "PRES", i)] for i in range(3)], axis=0)
     np.testing.assert_array_equal(rebuilt, d)
 
 
-def test_chunk_schema(chunks_df):
-    assert set(chunks_df.columns) == {
-        "dataset", "field", "chunk_id", "dims", "dtype", "values",
-    }
-    row = chunks_df.first()
-    arr = chunk_to_array(row.asDict())
+def test_chunk_schema(chunks_rdd):
+    row = chunks_rdd.first()
+    assert set(row) == {"dataset", "field", "chunk_id", "dims", "dtype", "values"}
+    arr = chunk_to_array(row)
     assert arr.dtype == np.float32
 
 
 def test_chunking_single_chunk(spark):
     d = sci_data.generate("Brown", "pressure", "test")
-    df = array_to_chunks(spark, "Brown", "pressure", d, n_chunks=1)
-    assert df.count() == 1
-    np.testing.assert_array_equal(chunk_to_array(df.first().asDict()), d)
+    rdd = array_to_chunks(spark, "Brown", "pressure", d, n_chunks=1)
+    assert rdd.count() == 1
+    np.testing.assert_array_equal(chunk_to_array(rdd.first()), d)
+
+
+def _partition_loads(rdd) -> pd.DataFrame:
+    """One row per chunk of a laid-out RDD: its field and id, the partition
+    id read inside the executor with ``TaskContext``, and its bytes."""
+    out = per_chunk(
+        rdd,
+        lambda row, arr: [
+            dict(
+                field=row["field"],
+                chunk_id=row["chunk_id"],
+                part=TaskContext.get().partitionId(),
+                nbytes=arr.nbytes,
+            )
+        ],
+    )
+    assert "Shuffled" not in out.toDebugString().decode()
+    return pd.DataFrame(out.collect())
 
 
 def test_layout_one_balanced_partition_per_core_without_shuffle(spark):
     """``layout_chunks`` gives ``min(n, defaultParallelism)`` partitions, each
     chunk in exactly one, no partition more than the largest chunk above
-    the mean, and ``per_chunk`` over it runs with no ``Exchange``. The two
+    the mean, and ``per_chunk`` over it runs with no shuffle. The two
     large chunks come first, so contiguous slicing alone would put both in
-    one partition. Partition ids are read inside the executors: a driver-side
-    ``spark_partition_id()`` over a local relation is folded on the driver
-    and reads 0 for every row."""
+    one partition."""
     rows = [
         r
         for i, n0 in enumerate([40, 40, 2, 3, 1, 2, 5, 2, 1, 3, 2])
         for r in chunk_rows("T", f"f{i}", np.ones((n0, 64), np.float32), 1)
     ]
     p = min(len(rows), spark.sparkContext.defaultParallelism)
-    df = layout_chunks(spark, rows)
-    assert df.rdd.getNumPartitions() == p
-    schema = T.StructType(
-        [
-            T.StructField("field", T.StringType(), False),
-            T.StructField("part", T.IntegerType(), False),
-            T.StructField("nbytes", T.LongType(), False),
-        ]
-    )
-    out = per_chunk(
-        df,
-        lambda row, arr: [
-            dict(field=row["field"], part=TaskContext.get().partitionId(), nbytes=arr.nbytes)
-        ],
-        schema,
-    )
-    pdf = out.toPandas()
-    assert "Exchange" not in out._jdf.queryExecution().executedPlan().toString()
+    rdd = layout_chunks(spark, rows)
+    assert rdd.getNumPartitions() == p
+    pdf = _partition_loads(rdd)
     assert sorted(pdf["field"]) == sorted(r["field"] for r in rows)
     loads = pdf.groupby("part")["nbytes"].sum()
     assert set(loads.index) == set(range(p))
     sizes = [len(r["values"]) for r in rows]
     assert loads.max() <= sum(sizes) / p + max(sizes)
+
+
+def test_layout_deals_each_group_to_one_partition(spark):
+    """``2p + 2`` equal chunks on ``p`` partitions: every partition holds
+    ``n // p`` or ``n // p + 1`` of them. ``parallelize`` slices a flat list
+    at batch boundaries (``parallelize(range(10), 4)`` gives 2/2/2/4), so a
+    layout that handed it the dealt rows as one list fails here."""
+    p = spark.sparkContext.defaultParallelism
+    n = 2 * p + 2
+    rows = chunk_rows("T", "f", np.ones((n, 16), np.float32), n)
+    rdd = layout_chunks(spark, rows)
+    assert rdd.getNumPartitions() == min(n, p)
+    pdf = _partition_loads(rdd)
+    assert sorted(pdf["chunk_id"]) == list(range(n))
+    counts = pdf.groupby("part").size()
+    assert set(counts.index) == set(range(min(n, p)))
+    assert counts.max() - counts.min() <= 1, counts.to_dict()
 
 
 def _zip_finder_paths() -> list[str]:
@@ -138,13 +156,7 @@ def test_per_chunk_leaves_reused_workers_no_zip_finders(spark):
     every task, which re-reads ``pyspark.zip`` once per cached ``zipimporter``.
     A worker that already ran a ``per_chunk`` task holds none of them."""
     p = spark.sparkContext.defaultParallelism
-    df = array_to_chunks(spark, "T", "f", np.zeros((p, 4), np.float32), n_chunks=p)
-    schema = T.StructType(
-        [
-            T.StructField("pid", T.LongType(), False),
-            T.StructField("n_zip", T.LongType(), False),
-        ]
-    )
+    rdd = array_to_chunks(spark, "T", "f", np.zeros((p, 4), np.float32), n_chunks=p)
 
     # Counted inline so that ``fn`` pickles by value: the workers never
     # import this test module.
@@ -157,7 +169,7 @@ def test_per_chunk_leaves_reused_workers_no_zip_finders(spark):
     seen: set[int] = set()
     reused = 0
     for _ in range(3):
-        pdf = per_chunk(df, fn, schema).toPandas()
+        pdf = pd.DataFrame(per_chunk(rdd, fn).collect())
         assert len(pdf) == p
         ran_before = pdf[pdf["pid"].isin(seen)]
         reused += len(ran_before)
@@ -166,10 +178,10 @@ def test_per_chunk_leaves_reused_workers_no_zip_finders(spark):
     assert reused > 0
 
 
-def test_estimate_udf_matches_local(spark, chunks_df):
+def test_estimate_udf_matches_local(spark, chunks_rdd):
     """Executor-side model == driver-side model, chunk by chunk."""
-    pdf = estimate_metrics(chunks_df, ["lorenzo"], [1e-2], seed=5).toPandas()
-    arrs = chunks_to_arrays(chunks_df)
+    pdf = estimate_metrics(chunks_rdd, ["lorenzo"], [1e-2], seed=5).toPandas()
+    arrs = chunks_to_arrays(chunks_rdd)
     for _, r in pdf.iterrows():
         arr = arrs[(r["dataset"], r["field"], int(r["chunk_id"]))]
         local = RatioQualityModel(arr, "lorenzo", seed=5)
@@ -178,9 +190,9 @@ def test_estimate_udf_matches_local(spark, chunks_df):
         assert r["psnr"] == pytest.approx(est["psnr"], rel=1e-9)
 
 
-def test_measure_udf_matches_local(spark, chunks_df):
-    pdf = measure_metrics(chunks_df, ["lorenzo"], [1e-2]).toPandas()
-    arrs = chunks_to_arrays(chunks_df)
+def test_measure_udf_matches_local(spark, chunks_rdd):
+    pdf = measure_metrics(chunks_rdd, ["lorenzo"], [1e-2]).toPandas()
+    arrs = chunks_to_arrays(chunks_rdd)
     for _, r in pdf.iterrows():
         arr = arrs[(r["dataset"], r["field"], int(r["chunk_id"]))]
         d = np.asarray(arr, np.float64)
@@ -193,21 +205,21 @@ def test_metric_row_counts(metrics_df):
     assert metrics_df.count() == 24
 
 
-def test_sample_reports_udf(spark, chunks_df):
-    pdf = sample_reports(chunks_df, "lorenzo", rate=0.01, seed=0).toPandas()
+def test_sample_reports_udf(spark, chunks_rdd):
+    pdf = sample_reports(chunks_rdd, "lorenzo", rate=0.01, seed=0).toPandas()
     assert len(pdf) == 3
     # test-scale chunks are ~2.3k points, so the sampling floor dominates;
     # bench-scale fidelity (paper's 0.12%) is checked in the Table II run
     assert (pdf["sample_err"] < 0.15).all()
 
 
-def test_table2_metrics_matches_separate_passes(spark, chunks_df):
+def test_table2_metrics_matches_separate_passes(spark, chunks_rdd):
     """The fused Table II pass emits one row per (chunk, predictor, bound):
     ``e_*`` from the model pass, ``m_*`` from the compressor pass (a 1D
     chunk's unmeasured SSIM read as null) and the chunk's sample report."""
     preds, ebs = ["lorenzo", "interp"], [1e-3, 1e-2]
     brown = sci_data.generate("Brown", "pressure", "test")
-    chunks = chunks_df.unionByName(array_to_chunks(spark, "Brown", "pressure", brown, 2))
+    chunks = chunks_rdd.union(array_to_chunks(spark, "Brown", "pressure", brown, 2))
     wide = table2_metrics(chunks, preds, ebs, seed=1).toPandas()
     keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
     rows_per_chunk = wide.groupby(keys[:3]).size()
@@ -228,6 +240,24 @@ def test_table2_metrics_matches_separate_passes(spark, chunks_df):
     got = wide.merge(samp, on=keys[:4], suffixes=("", "_ref"), validate="many_to_one")
     assert len(got) == len(wide)
     np.testing.assert_array_equal(got["sample_err"], got["sample_err_ref"])
+
+
+def test_table2_metrics_rows_carry_null_ssim_and_plain_types(spark):
+    """A 1D chunk's unmeasured SSIM reaches Spark SQL as null, not NaN, every
+    other value as the schema's Python type, and the DataFrame's plan has no
+    ``Exchange``."""
+    brown = sci_data.generate("Brown", "pressure", "test")
+    df = table2_metrics(array_to_chunks(spark, "Brown", "pressure", brown, 2), ["lorenzo"], [1e-2])
+    assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
+    rows = df.collect()
+    assert len(rows) == 2
+    py = {T.StringType: str, T.IntegerType: int, T.LongType: int, T.DoubleType: float}
+    for r in rows:
+        assert r["m_ssim"] is None
+        for f in df.schema:
+            if f.name != "m_ssim":
+                assert type(r[f.name]) is py[type(f.dataType)], f.name
+                assert py[type(f.dataType)] is not float or math.isfinite(r[f.name]), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +322,9 @@ def test_weighted_field_bitrate_vs_oracle(spark, metrics_df):
     )
 
 
-def test_udf_determinism(spark, chunks_df):
-    a = estimate_metrics(chunks_df, ["lorenzo"], [1e-3], seed=9).toPandas()
-    b = estimate_metrics(chunks_df, ["lorenzo"], [1e-3], seed=9).toPandas()
+def test_udf_determinism(spark, chunks_rdd):
+    a = estimate_metrics(chunks_rdd, ["lorenzo"], [1e-3], seed=9).toPandas()
+    b = estimate_metrics(chunks_rdd, ["lorenzo"], [1e-3], seed=9).toPandas()
     a = a.sort_values("chunk_id").reset_index(drop=True)
     b = b.sort_values("chunk_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(

@@ -21,8 +21,8 @@ CSV = ROOT / "results" / "table2_accuracy_test.csv"
 
 
 def test_build_corpus_holds_every_chunk_once(spark):
-    df = table2_accuracy.build_corpus(spark, "test")
-    keys = [tuple(r) for r in df.select("dataset", "field", "chunk_id").collect()]
+    rdd = table2_accuracy.build_corpus(spark, "test")
+    keys = rdd.map(lambda r: (r["dataset"], r["field"], r["chunk_id"])).collect()
     # 4 slabs per field, fewer where axis 0 is shorter (test-scale EXAFEL: 2)
     expected = {
         (s.dataset, s.field, c)
@@ -31,7 +31,7 @@ def test_build_corpus_holds_every_chunk_once(spark):
     }
     assert len(keys) == len(set(keys)) == len(expected)
     assert set(keys) == expected
-    assert df.rdd.getNumPartitions() == min(len(keys), spark.sparkContext.defaultParallelism)
+    assert rdd.getNumPartitions() == min(len(keys), spark.sparkContext.defaultParallelism)
 
 
 def eq20(ratio: str) -> str:
