@@ -1,11 +1,12 @@
 """Benchmarks for the use-case harnesses (Tables E3–E5), including the
 Spark-parallel dump path (one round — each call is a full Spark job) and the
 fixed cost of one ``per_chunk`` job."""
+import numpy as np
 import pytest
 
 from repro.sci_data import rtm_snapshot
 from repro.sparklayer.chunks import chunk_rows, layout_chunks, per_chunk
-from repro.usecases.data_dump import dump_snapshot
+from repro.usecases.data_dump import candidate_abs_ebs, dump_snapshot
 from repro.usecases.insitu import budgeted_allocation, per_snapshot_models
 from repro.usecases.memory_target import plan_and_compress
 
@@ -24,7 +25,8 @@ def test_memory_plan_and_compress(benchmark, snap):
 def test_insitu_allocation(benchmark):
     snaps = {t: rtm_snapshot(t, SHAPE) for t in (1000, 2000, 3000)}
     models = per_snapshot_models(snaps, "lorenzo", seed=0)
-    benchmark(budgeted_allocation, models, 2.0)
+    rmax = max(m.value_range for m in models.values())
+    benchmark(budgeted_allocation, models, 2.0, np.geomspace(1e-5 * rmax, 0.3 * rmax, 41))
 
 
 @pytest.mark.parametrize("method", ["tae", "model"])
@@ -32,7 +34,11 @@ def test_dump_snapshot_spark(benchmark, spark, tmp_path, method, snap):
     benchmark.pedantic(
         dump_snapshot,
         args=(spark, snap, 2000, str(tmp_path), method),
-        kwargs={"n_partitions": 4, "target_psnr_db": 50.0},
+        kwargs={
+            "n_partitions": 4,
+            "target_psnr_db": 50.0,
+            "candidates_abs": candidate_abs_ebs(float(snap.max() - snap.min())),
+        },
         rounds=2,
         iterations=1,
     )

@@ -1,4 +1,4 @@
-"""Shared helpers for spark-submit job entrypoints."""
+"""Shared helpers for the job entrypoints."""
 from __future__ import annotations
 
 import os
@@ -8,10 +8,11 @@ import pandas as pd
 
 
 def get_spark(app: str):
-    """Build (or reuse) the session for standalone `spark-submit`/CLI runs.
+    """Build (or reuse) the session for standalone `spark-submit`/CLI runs
+    of the Spark jobs (Table II and the dump).
 
-    Tests instead inject the session fixture from conftest.py; jobs expose
-    ``main(spark, ...)`` so both paths share the same code.
+    Tests instead inject the session fixture from conftest.py; those jobs
+    expose ``main(spark, ...)`` so both paths share the same code.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -21,12 +22,7 @@ def get_spark(app: str):
     )
     from pyspark.sql import SparkSession
 
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.shuffle.partitions", "64")
-        .getOrCreate()
-    )
+    return SparkSession.builder.appName(app).getOrCreate()
 
 
 def results_dir() -> str:
@@ -35,11 +31,11 @@ def results_dir() -> str:
     return d
 
 
-def emit(name: str, pdf: pd.DataFrame, float_fmt: str = "%.4g") -> None:
+def emit(name: str, pdf: pd.DataFrame) -> None:
     """Print a result table and persist it under results/<name>.csv."""
     path = os.path.join(results_dir(), f"{name}.csv")
     pdf.to_csv(path, index=False)
     with pd.option_context("display.width", 200, "display.max_columns", 50):
         print(f"\n=== {name} ===", file=sys.stdout)
-        print(pdf.to_string(index=False, float_format=lambda x: float_fmt % x))
+        print(pdf.to_string(index=False, float_format=lambda x: "%.4g" % x))
     print(f"[written {path}]")

@@ -1,8 +1,8 @@
 """Table I: the evaluated-dataset roster — paper's datasets next to our
 synthetic stand-ins (dimensionality preserved, sizes laptop-scaled).
 
-Run: ``spark-submit jobs/table1_datasets.py`` (Spark is only used to hold
-the chunked corpus, mirroring how every other job consumes it).
+Run: ``python jobs/table1_datasets.py`` (a static roster built on the
+driver; no Spark session).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pandas as pd
 from repro.config import SHAPES
 from repro.sci_data import FIELDS
 
-from _common import emit, get_spark
+from _common import emit
 
 PAPER_SIZES = {
     "CESM": "1.47GB", "EXAFEL": "51MB", "Hurricane": "1.25GB", "HACC": "19GB",
@@ -28,7 +28,7 @@ DESCRIPTIONS = {
 }
 
 
-def main(spark=None) -> pd.DataFrame:
+def main() -> pd.DataFrame:
     rows = []
     for ds in dict.fromkeys(f.dataset for f in FIELDS):
         shape = SHAPES["bench"][ds]
@@ -51,4 +51,4 @@ def main(spark=None) -> pd.DataFrame:
 
 
 if __name__ == "__main__":
-    main(get_spark("table1"))
+    main()

@@ -38,16 +38,19 @@ from repro.sparklayer import estimate_metrics, measure_metrics, sample_reports  
 
 from _common import emit, get_spark
 
+N_CHUNKS = 4
 
-def build_corpus(spark: SparkSession, scale: str = "bench", n_chunks: int = 4) -> RDD:
-    """All 17 Table II fields as one chunk RDD, laid out by
-    ``layout_chunks`` in one partition per core of about equal bytes, so the
-    executor pass is one task wave with several chunks per task."""
+
+def build_corpus(spark: SparkSession, scale: str) -> RDD:
+    """All 17 Table II fields, ``N_CHUNKS`` slabs each, as one chunk RDD,
+    laid out by ``layout_chunks`` in one partition per core of about equal
+    bytes, so the executor pass is one task wave with several chunks per
+    task."""
     rows = [
         r
         for spec in sci_data.FIELDS
         for r in chunk_rows(
-            spec.dataset, spec.field, sci_data.generate(spec.dataset, spec.field, scale), n_chunks
+            spec.dataset, spec.field, sci_data.generate(spec.dataset, spec.field, scale), N_CHUNKS
         )
     ]
     return layout_chunks(spark, rows)
@@ -91,7 +94,7 @@ def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") 
     return pct
 
 
-def fft_quality_study(scale: str = "bench", predictor: str = "lorenzo") -> pd.DataFrame:
+def fft_quality_study(scale: str, predictor: str) -> pd.DataFrame:
     """Fig. 8 reproduction: FFT (power-spectrum) quality degradation on the
     Nyx temperature field — measured vs our model vs the uniform-only
     prior-work baseline [23]."""

@@ -21,6 +21,7 @@ from _common import emit, get_spark
 
 SHAPE = (32, 96, 96)
 TIMESTEPS = tuple(range(200, 3401, 200))
+TARGET_PSNR = 56.0
 
 
 #: Per-rank I/O bandwidth model (bytes/s) — restores the paper's regime
@@ -28,11 +29,11 @@ TIMESTEPS = tuple(range(200, 3401, 200))
 IO_BPS = 100_000.0
 
 
-def main(spark, outdir: str | None = None, target_psnr: float = 56.0) -> pd.DataFrame:
+def main(spark, outdir: str | None = None) -> pd.DataFrame:
     outdir = outdir or tempfile.mkdtemp(prefix="repro_dump_")
     pdf = run_dump_study(
         spark, TIMESTEPS, SHAPE, outdir,
-        target_psnr_db=target_psnr, n_partitions=8,
+        target_psnr_db=TARGET_PSNR, n_partitions=8,
         io_bytes_per_second=IO_BPS,
     )
     emit("tableE5_dump_per_snapshot", pdf)

@@ -7,7 +7,7 @@ Part B (Fig. 12): Lagrangian rate allocation across snapshots at the
 uniform-bound budget — extra compression ratio at equal stacked quality and
 extra quality at equal ratio (paper: +13% ratio / +31% quality).
 
-Run: ``spark-submit jobs/usecase_insitu.py``.
+Run: ``python jobs/usecase_insitu.py``.
 """
 from __future__ import annotations
 
@@ -22,24 +22,25 @@ from repro.usecases.insitu import (
     uniform_baseline,
 )
 
-from _common import emit, get_spark
+from _common import emit
 
 SHAPE = (32, 96, 96)
 TIMESTEPS = tuple(range(200, 3401, 200))
+TARGET_PSNR = 56.0
 
 
-def main(spark=None, target_psnr: float = 56.0) -> dict[str, pd.DataFrame]:
+def main() -> dict[str, pd.DataFrame]:
     snaps = {t: rtm_snapshot(t, SHAPE) for t in TIMESTEPS}
     models = per_snapshot_models(snaps, "lorenzo", seed=0)
 
     # -- Part A: Fig. 13 ------------------------------------------------
-    qt = quality_targeted(snaps, models, target_psnr_db=target_psnr)
+    qt = quality_targeted(snaps, models, target_psnr_db=TARGET_PSNR)
     per_snap = pd.DataFrame(qt["rows"])
     emit("tableE4_quality_targeted", per_snap)
     a_summary = pd.DataFrame(
         [
             dict(
-                target_psnr=target_psnr,
+                target_psnr=TARGET_PSNR,
                 ours_mean_bitrate=qt["ours_mean_bitrate"],
                 trad_mean_bitrate=qt["trad_mean_bitrate"],
                 bitrate_reduction_pct=100 * qt["bitrate_reduction"],
@@ -96,4 +97,4 @@ def main(spark=None, target_psnr: float = 56.0) -> dict[str, pd.DataFrame]:
 
 
 if __name__ == "__main__":
-    main(get_spark("insitu"))
+    main()

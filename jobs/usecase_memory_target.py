@@ -6,7 +6,7 @@ mapping, then the *measured* consumption is compared to the assignment
 (paper: everything within the budget; ~5% of cases would need a second
 round).
 
-Run: ``spark-submit jobs/usecase_memory_target.py``.
+Run: ``python jobs/usecase_memory_target.py``.
 """
 from __future__ import annotations
 
@@ -14,11 +14,14 @@ import pandas as pd
 
 from repro.usecases.memory_target import run_groups
 
-from _common import emit, get_spark
+from _common import emit
+
+N_GROUPS = 15
+SHAPE = (32, 96, 96)
 
 
-def main(spark=None, n_groups: int = 15, shape=(32, 96, 96)) -> pd.DataFrame:
-    res = run_groups(n_groups=n_groups, shape=shape, seed=0)
+def main() -> pd.DataFrame:
+    res = run_groups(n_groups=N_GROUPS, shape=SHAPE, seed=0)
     pdf = pd.DataFrame(
         [
             dict(
@@ -47,4 +50,4 @@ def main(spark=None, n_groups: int = 15, shape=(32, 96, 96)) -> pd.DataFrame:
 
 
 if __name__ == "__main__":
-    main(get_spark("memtarget"))
+    main()

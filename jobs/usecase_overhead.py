@@ -6,8 +6,8 @@ Ours: one 1% sampling pass + 7 cheap estimates. TAE: 7 full compression
 passes (prediction + Huffman + lossless). The paper reports 18.7× on
 average; we print per-stage timings and the resulting speedup.
 
-Run: ``spark-submit jobs/usecase_overhead.py`` (stage timings are per-field
-wall clock inside executors via the metric UDFs).
+Run: ``python jobs/usecase_overhead.py`` (stage timings are per-field wall
+clock on the driver, one field at a time; no Spark session).
 """
 from __future__ import annotations
 
@@ -17,11 +17,13 @@ import numpy as np
 import pandas as pd
 
 from repro import sci_data
-from repro.compressor import huffman, pipeline, rle
+from repro.compressor import huffman, rle
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
 
-from _common import emit, get_spark
+from _common import emit
+
+PREDICTOR = "lorenzo"
 
 
 def time_model(data: np.ndarray, predictor: str, ebs_rel) -> dict:
@@ -64,12 +66,12 @@ def time_tae(data: np.ndarray, predictor: str, ebs_rel) -> dict:
     }
 
 
-def main(spark=None, predictor: str = "lorenzo") -> pd.DataFrame:
+def main() -> pd.DataFrame:
     rows = []
     for fld in ("1000", "2000", "3000"):
         data = sci_data.generate("RTM", fld, "bench")
-        ours = time_model(data, predictor, EB_SWEEP_REL)
-        tae = time_tae(data, predictor, EB_SWEEP_REL)
+        ours = time_model(data, PREDICTOR, EB_SWEEP_REL)
+        tae = time_tae(data, PREDICTOR, EB_SWEEP_REL)
         rows.append(
             dict(
                 field=f"RTM/{fld}",
@@ -93,4 +95,4 @@ def main(spark=None, predictor: str = "lorenzo") -> pd.DataFrame:
 
 
 if __name__ == "__main__":
-    main(get_spark("overhead"))
+    main()

@@ -6,7 +6,7 @@ a bit-rate grid; and the optimization-overhead comparison against per-bound
 trial-and-error sampling (paper: 21.8×, crossover estimate 1.89 within the
 measured [1.47, 1.93]).
 
-Run: ``spark-submit jobs/usecase_predictor_selection.py``.
+Run: ``python jobs/usecase_predictor_selection.py``.
 """
 from __future__ import annotations
 
@@ -18,12 +18,12 @@ import pandas as pd
 from repro import sci_data
 from repro.usecases.predictor_selection import crossover_bitrate, rd_curves, select_predictor
 
-from _common import emit, get_spark
+from _common import emit
 
 EBS = tuple(np.geomspace(1e-4, 1e-1, 13))
 
 
-def main(spark=None) -> dict[str, pd.DataFrame]:
+def main() -> dict[str, pd.DataFrame]:
     data = sci_data.generate("RTM", "2000", "bench")
     t0 = time.perf_counter()
     est = rd_curves(data, ("lorenzo", "interp", "regression"), EBS)
@@ -82,4 +82,4 @@ def main(spark=None) -> dict[str, pd.DataFrame]:
 
 
 if __name__ == "__main__":
-    main(get_spark("predsel"))
+    main()

@@ -59,10 +59,6 @@ class HuffmanCode:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    def bitrate(self) -> float:
-        """Average bits per encoded symbol."""
-        return self.total_bits / max(1, self.n)
-
     # ------------------------------------------------------------------
     def encode(self, stream: np.ndarray) -> bytes:
         """Encode ``stream`` → packed bytes (MSB first, zero-padded to a byte).
@@ -183,21 +179,9 @@ class HuffmanCode:
         return self.symbols[np.lexsort((self.symbols, lengths))[idx]]
 
 
-def build(stream_or_counts, counts: np.ndarray | None = None) -> HuffmanCode:
-    """Build a canonical Huffman code.
-
-    Either ``build(stream)`` with the raw int64 code stream, or
-    ``build(symbols, counts)`` with a precomputed histogram.
-    """
-    if counts is None:
-        symbols, cnts = _histogram(np.asarray(stream_or_counts, np.int64).ravel())
-    else:
-        symbols = np.asarray(stream_or_counts, np.int64)
-        cnts = np.asarray(counts, np.int64)
-        keep = cnts > 0
-        symbols, cnts = symbols[keep], cnts[keep]
-        order = np.argsort(symbols)
-        symbols, cnts = symbols[order], cnts[order]
+def build(stream: np.ndarray) -> HuffmanCode:
+    """Build the canonical Huffman code of an int64 code stream."""
+    symbols, cnts = _histogram(np.asarray(stream, np.int64).ravel())
     if len(symbols) > 1:
         lengths = _code_lengths(cnts.tolist())
     else:

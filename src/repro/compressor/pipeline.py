@@ -36,7 +36,7 @@ from .quantizer import check_field
 
 __all__ = [
     "CompressedField", "compress", "decompress", "measure", "to_bytes", "from_bytes",
-    "HEADER_BYTES",
+    "overhead_bytes", "HEADER_BYTES",
 ]
 
 _HEADER = struct.Struct("<2sBdI4Ix")
@@ -45,6 +45,13 @@ _MAGIC = b"RQ"
 _PREDICTOR_IDS = ("lorenzo", "interp", "regression")
 _ZLIB_FLAG = 0x80
 _CODEBOOK = np.dtype([("symbol", "<i4"), ("length", "u1")])  # 5 B per symbol
+
+
+def overhead_bytes(n_symbols: int, side_bytes: int) -> int:
+    """Bytes of a blob besides its body: header, codebook of ``n_symbols``
+    distinct codes, and ``side_bytes`` of side data. The compressor's size
+    accounting and the model's estimate both charge this."""
+    return huffman.codebook_bytes(n_symbols) + side_bytes + HEADER_BYTES
 
 
 @dataclass
@@ -71,7 +78,7 @@ class CompressedField:
         return self.code.total_bits
 
     def _overhead_bytes(self) -> int:
-        return huffman.codebook_bytes(len(self.code.symbols)) + self.side_bytes + HEADER_BYTES
+        return overhead_bytes(len(self.code.symbols), self.side_bytes)
 
     @property
     def nbytes_huffman(self) -> int:

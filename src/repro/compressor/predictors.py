@@ -88,9 +88,7 @@ class _Base:
         raise NotImplementedError
 
     # -- model-facing sampling (§III-D) ----------------------------------
-    def sample_errors(
-        self, data: np.ndarray, rate: float = 0.01, seed: int = 0
-    ) -> SampledErrors:
+    def sample_errors(self, data: np.ndarray, rate: float, seed: int) -> SampledErrors:
         raise NotImplementedError
 
 
@@ -131,7 +129,7 @@ class Lorenzo(_Base):
         difference of the float data)."""
         return self._forward(_as64(data)).ravel()
 
-    def sample_errors(self, data, rate=0.01, seed=0):
+    def sample_errors(self, data, rate, seed):
         # §III-D-1: randomly sample points, apply Lorenzo on original values.
         err = self.prediction_errors(data)
         n = err.size
@@ -229,7 +227,7 @@ class Interpolation(_Base):
             r[tgt] = pred + dequantize(q, eb)
         return r
 
-    def sample_errors(self, data, rate=0.01, seed=0):
+    def sample_errors(self, data, rate, seed):
         # §III-D-2: stratified by level — coarser levels hold 2^-ndim the
         # points of the next finer one, so sampling a fixed fraction of each
         # (level, axis) group realizes the paper's level-scaled rates.
@@ -361,7 +359,7 @@ class Regression(_Base):
         q = codes.reshape(pred.shape)
         return self._from_blocks(pred + dequantize(q, eb), shape)
 
-    def sample_errors(self, data, rate=0.01, seed=0):
+    def sample_errors(self, data, rate, seed):
         # §III-D-3: sample whole blocks, fit, collect residuals.
         d = _as64(data)
         blocks = self._to_blocks(d)

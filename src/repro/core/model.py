@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..compressor.huffman import codebook_bytes
-from ..compressor.pipeline import HEADER_BYTES
+from ..compressor.pipeline import overhead_bytes
 from ..compressor.predictors import get_predictor
 from ..compressor.quantizer import check_bound, check_field
 from . import histogram, quality_model, ratio_model
@@ -65,14 +64,11 @@ class RatioQualityModel:
         if self.predictor == "lorenzo":
             # lattice quantizer: every point's error is its phase residual
             return quality_model.sigma_e2_lattice(self.values_sample, eb_abs)
-        if self.predictor == "interp" and self.group_ids is not None:
+        if self.predictor == "interp":
             return quality_model.sigma_e2_interp(
                 self.errors, self.weights, self.group_ids, eb_abs
             )
         return quality_model.sigma_e2(self.errors, self.weights, eb_abs)
-
-    def _overhead_bits(self, n_symbols: int) -> float:
-        return 8.0 * (codebook_bytes(n_symbols) + self.side_bytes + HEADER_BYTES)
 
     # ------------------------------------------------------------------
     def estimate(self, eb_abs: float) -> dict:
@@ -83,7 +79,7 @@ class RatioQualityModel:
         p0 = histogram.p0_of(syms, cnts)
         b_code = ratio_model.huffman_bitrate(cnts)
         b_code_ll = ratio_model.lossless_bitrate(b_code, p0)
-        oh = self._overhead_bits(len(syms))
+        oh = 8.0 * overhead_bytes(len(syms), self.side_bytes)
         bitrate_huff = (b_code * self.coded_count + oh) / self.n_points
         bitrate_ll = (b_code_ll * self.coded_count + oh) / self.n_points
         s2 = self._sigma_e2(eb_abs)
@@ -101,14 +97,23 @@ class RatioQualityModel:
     def error_bound_for_bitrate(self, target_bits_per_point: float) -> float:
         """Invert the model: error bound whose estimated Huffman + lossless
         bit-rate meets a target (fix-rate mode, use-case 2). Pure model
-        evaluations — no compression."""
+        evaluations — no compression. Raises ``ValueError`` for a constant
+        field, as every inversion does."""
 
         def est(eb):
             return self.estimate(eb)["bitrate_ll"]
 
-        lo = max(self.value_range * 1e-8, np.finfo(np.float64).tiny)
-        hi = max(self.value_range, lo * 10)
+        lo, hi = self._bracket(1e-8)
         return ratio_model.invert_bitrate(est, target_bits_per_point, lo, hi)
+
+    def _bracket(self, lo_rel: float) -> tuple[float, float]:
+        """The inversions' search range [range·lo_rel, range]. Raises
+        ``ValueError`` for a constant field: with no value range there is no
+        range of bounds to search (its PSNR is inf at every bound)."""
+        if self.value_range == 0:
+            raise ValueError("constant field: value range is 0, no error-bound range to search")
+        lo = max(self.value_range * lo_rel, np.finfo(np.float64).tiny)
+        return lo, max(self.value_range, lo * 10)
 
     def _largest_eb(self, ok) -> float:
         """Largest error bound for which the monotone predicate ``ok`` still
@@ -116,8 +121,7 @@ class RatioQualityModel:
         Pure model evaluations on the sample — no compression. Lorenzo's
         lattice variance is not monotone at that scale, so there the result
         is a bound where ``ok`` flips, not always the largest one."""
-        lo = max(self.value_range * 1e-9, np.finfo(np.float64).tiny)
-        hi = max(self.value_range, lo * 10)
+        lo, hi = self._bracket(1e-9)
         if ok(hi):
             return hi
         if not ok(lo):

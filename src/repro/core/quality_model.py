@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis import _K2  # SSIM contrast constant K2 of the measured SSIM
+
 __all__ = [
     "sigma_e2_uniform",
     "sigma_e2_lattice",
@@ -24,7 +26,6 @@ __all__ = [
     "fft_rel_error_est",
 ]
 
-_K2 = 0.03  # SSIM contrast constant K2, matching repro.analysis
 _TAU = 0.25  # sigma_e2_interp's quiescence threshold τ
 
 

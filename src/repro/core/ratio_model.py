@@ -33,6 +33,11 @@ __all__ = [
 MODEL_C1_BITS = 5.0
 MODEL_RMAX = 2048.0
 
+#: ``invert_bitrate`` stops within this many bits/point of the target, or
+#: after this many bisection steps.
+_INVERT_TOL_BITS = 1e-3
+_INVERT_MAX_BISECT = 60
+
 
 def huffman_bitrate(counts: np.ndarray) -> float:
     """Eq. (1): average bits/code from a (possibly weighted) histogram."""
@@ -80,14 +85,7 @@ def lossless_bitrate(
     return bitrate / rle_ratio(p0, bitrate, c1_bits, rmax)
 
 
-def invert_bitrate(
-    est_fn,
-    target: float,
-    eb_lo: float,
-    eb_hi: float,
-    tol: float = 1e-3,
-    max_iter: int = 60,
-) -> float:
+def invert_bitrate(est_fn, target: float, eb_lo: float, eb_hi: float) -> float:
     """Find the error bound whose estimated bit-rate equals ``target``.
 
     ``est_fn(eb) -> bits/point`` must be (weakly) decreasing in ``eb``.
@@ -103,7 +101,7 @@ def invert_bitrate(
     e = float(np.sqrt(lo * hi))
     for _ in range(8):  # Eq. (2) phase
         b = est_fn(e)
-        if abs(b - target) < tol:
+        if abs(b - target) < _INVERT_TOL_BITS:
             return min(max(e, lo), hi)
         step = np.clip(b - target, -8.0, 8.0)
         e = float(np.clip(e * 2.0**step, lo, hi))
@@ -113,10 +111,10 @@ def invert_bitrate(
         return lo
     if target <= bhi:
         return hi
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_BISECT):
         mid = np.sqrt(lo * hi)
         bm = est_fn(mid)
-        if abs(bm - target) < tol:
+        if abs(bm - target) < _INVERT_TOL_BITS:
             return float(mid)
         if bm > target:
             lo = mid

@@ -12,7 +12,7 @@ from ..compressor.predictors import get_predictor
 __all__ = ["sample_values", "weighted_std", "sample_error_report"]
 
 
-def sample_values(data: np.ndarray, rate: float = 0.01, seed: int = 0) -> np.ndarray:
+def sample_values(data: np.ndarray, rate: float, seed: int) -> np.ndarray:
     """Uniform random sample of data values (for σ_D and diagnostics)."""
     flat = np.asarray(data, dtype=np.float64).ravel()
     m = min(flat.size, max(64, int(round(flat.size * rate))))

@@ -20,14 +20,14 @@ import numpy as np
 
 from .config import SHAPES
 
-__all__ = ["FIELDS", "FieldSpec", "generate", "rtm_snapshot", "grf", "field_names"]
+__all__ = ["FIELDS", "FieldSpec", "generate", "rtm_snapshot", "grf"]
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def grf(shape: tuple[int, ...], slope: float = -3.0, seed: int = 0) -> np.ndarray:
+def grf(shape: tuple[int, ...], slope: float, seed: int) -> np.ndarray:
     """Gaussian random field with isotropic power spectrum P(k) ~ k**slope.
 
     Built by spectrally filtering white noise: steeper (more negative)
@@ -238,28 +238,11 @@ FIELDS: tuple[FieldSpec, ...] = (
 )
 
 
-def field_names() -> list[tuple[str, str]]:
-    """(dataset, field) pairs in Table II order."""
-    return [(f.dataset, f.field) for f in FIELDS]
-
-
-def generate(
-    dataset: str,
-    field: str,
-    scale: str = "test",
-    shape: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Generate the synthetic stand-in for ``dataset/field``.
-
-    ``scale`` selects the shape from :data:`repro.config.SHAPES`; an explicit
-    ``shape`` overrides it. Deterministic in the field's fixed seed.
-    """
+def generate(dataset: str, field: str, scale: str) -> np.ndarray:
+    """Generate the synthetic stand-in for ``dataset/field`` at the shape
+    :data:`repro.config.SHAPES` gives ``scale``. Deterministic in the
+    field's fixed seed."""
     for spec in FIELDS:
         if spec.dataset == dataset and spec.field == field:
-            shp = shape if shape is not None else SHAPES[scale][dataset]
-            if len(shp) != spec.ndim:
-                raise ValueError(
-                    f"{dataset}/{field} is {spec.ndim}D but shape {shp} given"
-                )
-            return spec.gen(tuple(shp), spec.seed)
+            return spec.gen(SHAPES[scale][dataset], spec.seed)
     raise KeyError(f"unknown field {dataset}/{field}")

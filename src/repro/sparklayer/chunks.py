@@ -34,7 +34,6 @@ __all__ = [
     "array_to_chunks",
     "chunk_rows",
     "chunk_to_array",
-    "chunks_to_arrays",
     "layout_chunks",
     "per_chunk",
 ]
@@ -101,14 +100,6 @@ def chunk_to_array(row: dict) -> np.ndarray:
     return np.frombuffer(row["values"], dtype=np.dtype(row["dtype"])).reshape(
         tuple(row["dims"])
     )
-
-
-def chunks_to_arrays(chunks: RDD) -> dict[tuple[str, str, int], np.ndarray]:
-    """Collect a chunk RDD → {(dataset, field, chunk_id): array}."""
-    return {
-        (r["dataset"], r["field"], int(r["chunk_id"])): chunk_to_array(r)
-        for r in chunks.collect()
-    }
 
 
 def per_chunk(chunks: RDD, fn: Callable[[dict, np.ndarray], Iterable[dict]]) -> RDD:

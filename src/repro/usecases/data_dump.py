@@ -78,15 +78,18 @@ def dump_snapshot(
     t: int,
     outdir: str,
     method: str,
+    candidates_abs: Sequence[float],
     target_psnr_db: float = 56.0,
     predictor: str = "lorenzo",
     n_partitions: int = 8,
     traditional_abs_eb: float | None = None,
-    candidates_abs: Sequence[float] | None = None,
     io_bytes_per_second: float | None = None,
 ) -> pd.DataFrame:
     """Dump one snapshot with one method → per-chunk timing rows, in
     ``chunk_id`` order.
+
+    ``candidates_abs`` are the shared absolute bounds the ``tae`` method
+    tries (``candidate_abs_ebs``).
 
     ``n_partitions`` is the number of ranks, i.e. of chunks, files and rows;
     Spark runs them in ``min(n_partitions, defaultParallelism)`` tasks.
@@ -110,8 +113,6 @@ def dump_snapshot(
     snap_range = float(
         np.asarray(data, np.float64).max() - np.asarray(data, np.float64).min()
     )
-    if candidates_abs is None:
-        candidates_abs = candidate_abs_ebs(snap_range)
     cand = tuple(sorted(candidates_abs, reverse=True))
     # the quality floor is snapshot-level PSNR (as in the paper); each rank
     # knows the snapshot's global range (an allreduce in an MPI code) and
@@ -186,15 +187,12 @@ def offline_worstcase_abs_eb(
     timesteps: Sequence[int],
     shape: tuple[int, int, int],
     target_psnr_db: float,
-    predictor: str = "lorenzo",
-    candidates_abs: Sequence[float] | None = None,
+    predictor: str,
+    candidates_abs: Sequence[float],
 ) -> float:
     """The traditional method's offline study: the largest shared absolute
     candidate bound that meets the PSNR target on **every** snapshot
     (Liebig's barrel — the lowest-amplitude snapshot dictates the bound)."""
-    if candidates_abs is None:
-        d0 = rtm_snapshot(timesteps[0], shape)
-        candidates_abs = candidate_abs_ebs(float(d0.max() - d0.min()))
     ok = set(candidates_abs)
     for t in timesteps:
         d = rtm_snapshot(t, shape)

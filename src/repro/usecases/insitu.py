@@ -33,8 +33,8 @@ _GUARD_DB = 1.0  # dB the model aims above the PSNR floor
 
 def per_snapshot_models(
     snapshots: dict[int, np.ndarray],
-    predictor: str = "lorenzo",
-    seed: int = 0,
+    predictor: str,
+    seed: int,
 ) -> dict[int, RatioQualityModel]:
     return {
         t: RatioQualityModel(d, predictor, seed=seed + t)
@@ -45,7 +45,7 @@ def per_snapshot_models(
 def quality_targeted(
     snapshots: dict[int, np.ndarray],
     models: dict[int, RatioQualityModel],
-    target_psnr_db: float = 56.0,
+    target_psnr_db: float,
 ) -> dict:
     """Fig. 13: ours (per-snapshot eb at the PSNR floor) vs traditional
     (single worst-case eb — the minimum of the per-snapshot bounds, which is
@@ -98,18 +98,14 @@ def _curves(models: dict[int, RatioQualityModel], ebs_abs: np.ndarray):
     return out
 
 
-def _default_grid(models: dict[int, RatioQualityModel]) -> np.ndarray:
-    rmax = max(m.value_range for m in models.values())
-    return np.geomspace(1e-5 * rmax, 0.3 * rmax, 41)
-
-
 def budgeted_allocation(
     models: dict[int, RatioQualityModel],
     total_bitrate: float,
-    ebs_abs: np.ndarray | None = None,
+    ebs_abs: np.ndarray,
 ) -> dict:
-    """Fig. 12: choose each snapshot's eb to minimize the stacked image's
-    summed error variance subject to mean bit-rate ≤ ``total_bitrate``.
+    """Fig. 12: choose each snapshot's eb from the shared absolute grid
+    ``ebs_abs`` to minimize the stacked image's summed error variance
+    subject to mean bit-rate ≤ ``total_bitrate``.
 
     Lagrangian sweep over per-snapshot model curves: for multiplier λ each
     snapshot independently picks the candidate minimizing ``σ² + λ·B``; λ
@@ -117,8 +113,6 @@ def budgeted_allocation(
     the budget is also evaluated and the allocation never returns worse
     (discrete-grid Lagrangian points can otherwise land off the hull).
     """
-    if ebs_abs is None:
-        ebs_abs = _default_grid(models)
     ebs_abs = np.asarray(ebs_abs, dtype=np.float64)
     curves = _curves(models, ebs_abs)
     # normalize λ scale: σ² spans many orders of magnitude across the grid

@@ -22,6 +22,8 @@ __all__ = ["HEADROOM", "plan_and_compress", "run_groups", "GroupResult"]
 
 #: Target = HEADROOM × budget (§IV-B's "20% lower" rule).
 HEADROOM = 0.8
+#: The one predictor the use-case plans and compresses with.
+PREDICTOR = "lorenzo"
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,14 @@ class GroupResult:
 def plan_and_compress(
     data: np.ndarray,
     budget_bits_per_point: float,
-    predictor: str = "lorenzo",
     seed: int = 0,
 ) -> dict:
     """Pick the error bound for ``HEADROOM × budget`` via the model, then
     actually compress and report the measured bit-rate."""
     target = HEADROOM * budget_bits_per_point
-    model = RatioQualityModel(data, predictor, seed=seed)
+    model = RatioQualityModel(data, PREDICTOR, seed=seed)
     eb = model.error_bound_for_bitrate(target)
-    c = pipeline.compress(data, predictor, eb)
+    c = pipeline.compress(data, PREDICTOR, eb)
     return {
         "eb_abs": eb,
         "target_bitrate": target,
@@ -63,12 +64,7 @@ def plan_and_compress(
     }
 
 
-def run_groups(
-    n_groups: int = 15,
-    shape: tuple[int, int, int] = (16, 48, 48),
-    predictor: str = "lorenzo",
-    seed: int = 0,
-) -> list[GroupResult]:
+def run_groups(n_groups: int, shape: tuple[int, int, int], seed: int) -> list[GroupResult]:
     """The Fig.-11 experiment: ``n_groups`` random (timestep-set, budget)
     draws on RTM snapshots; per group, compress every member towards the
     80%-headroom target and compare total consumption to the assigned space."""
@@ -82,7 +78,7 @@ def run_groups(
         used_bits, n_pts = 0.0, 0
         for t in ts:
             d = rtm_snapshot(t, shape)
-            r = plan_and_compress(d, budget, predictor=predictor, seed=seed + i)
+            r = plan_and_compress(d, budget, seed=seed + i)
             used_bits += r["used_bitrate"] * d.size
             n_pts += d.size
         results.append(GroupResult(i, ts, budget, used_bits / n_pts))

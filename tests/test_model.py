@@ -172,6 +172,20 @@ def test_measure_and_estimate_agree_on_constant_field(pred, value, eb, exact):
     assert meas["ssim"] == est["ssim"] == 1.0
 
 
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize(
+    "invert, target",
+    [("error_bound_for_bitrate", 2.0), ("error_bound_for_psnr", 60.0), ("error_bound_for_mse", 1.0)],
+)
+def test_inversions_reject_constant_field(pred, invert, target):
+    """A constant field has no value range to search error bounds in: each
+    inversion raises a clear error instead of returning a denormal bound or
+    failing inside the search."""
+    m = RatioQualityModel(np.full((8, 8), 2.0), pred)
+    with pytest.raises(ValueError, match="constant field"):
+        getattr(m, invert)(target)
+
+
 def test_model_deterministic(field_data):
     d = field_data[("SCALE", "PRES")]
     a = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)

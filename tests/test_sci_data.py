@@ -4,24 +4,26 @@ import pytest
 
 from repro import sci_data
 from repro.config import SHAPES
-from repro.sci_data import FIELDS, field_names, generate, grf, rtm_snapshot
+from repro.sci_data import FIELDS, generate, grf, rtm_snapshot
+
+FIELD_NAMES = [(f.dataset, f.field) for f in FIELDS]
 
 
-@pytest.mark.parametrize("ds,fld", field_names())
+@pytest.mark.parametrize("ds,fld", FIELD_NAMES)
 def test_generate_shape_dtype(ds, fld):
     a = generate(ds, fld, "test")
     assert a.dtype == np.float32
     assert a.shape == SHAPES["test"][ds]
 
 
-@pytest.mark.parametrize("ds,fld", field_names())
+@pytest.mark.parametrize("ds,fld", FIELD_NAMES)
 def test_generate_deterministic(ds, fld):
     a = generate(ds, fld, "test")
     b = generate(ds, fld, "test")
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("ds,fld", field_names())
+@pytest.mark.parametrize("ds,fld", FIELD_NAMES)
 def test_generate_finite_nonconstant(ds, fld):
     a = generate(ds, fld, "test")
     assert np.isfinite(a).all()
@@ -43,17 +45,7 @@ def test_ndim_matches_table1():
 
 def test_unknown_field_raises():
     with pytest.raises(KeyError):
-        generate("Nope", "x")
-
-
-def test_wrong_shape_ndim_raises():
-    with pytest.raises(ValueError):
-        generate("Nyx", "temperature", shape=(8, 8))
-
-
-def test_explicit_shape_override():
-    a = generate("Nyx", "temperature", shape=(8, 9, 10))
-    assert a.shape == (8, 9, 10)
+        generate("Nope", "x", "test")
 
 
 def test_ssim_flags():

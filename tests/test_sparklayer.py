@@ -21,7 +21,6 @@ from repro.oracle import assert_equivalent
 from repro.sparklayer import (
     array_to_chunks,
     chunk_to_array,
-    chunks_to_arrays,
     estimate_metrics,
     measure_metrics,
     sample_reports,
@@ -36,6 +35,14 @@ def chunks_rdd(spark):
     return array_to_chunks(spark, "SCALE", "PRES", d, n_chunks=3).cache()
 
 
+def _arrays(chunks) -> dict[tuple[str, str, int], np.ndarray]:
+    """Collect a chunk RDD → {(dataset, field, chunk_id): array}."""
+    return {
+        (r["dataset"], r["field"], int(r["chunk_id"])): chunk_to_array(r)
+        for r in chunks.collect()
+    }
+
+
 @pytest.fixture(scope="module")
 def metrics_df(spark, chunks_rdd):
     est = estimate_metrics(chunks_rdd, ["lorenzo", "interp"], [1e-3, 1e-2], seed=1)
@@ -45,7 +52,7 @@ def metrics_df(spark, chunks_rdd):
 
 def test_chunk_roundtrip_exact(spark, chunks_rdd):
     d = sci_data.generate("SCALE", "PRES", "test")
-    arrs = chunks_to_arrays(chunks_rdd)
+    arrs = _arrays(chunks_rdd)
     rebuilt = np.concatenate([arrs[("SCALE", "PRES", i)] for i in range(3)], axis=0)
     np.testing.assert_array_equal(rebuilt, d)
 
@@ -181,7 +188,7 @@ def test_per_chunk_leaves_reused_workers_no_zip_finders(spark):
 def test_estimate_udf_matches_local(spark, chunks_rdd):
     """Executor-side model == driver-side model, chunk by chunk."""
     pdf = estimate_metrics(chunks_rdd, ["lorenzo"], [1e-2], seed=5).toPandas()
-    arrs = chunks_to_arrays(chunks_rdd)
+    arrs = _arrays(chunks_rdd)
     for _, r in pdf.iterrows():
         arr = arrs[(r["dataset"], r["field"], int(r["chunk_id"]))]
         local = RatioQualityModel(arr, "lorenzo", seed=5)
@@ -192,7 +199,7 @@ def test_estimate_udf_matches_local(spark, chunks_rdd):
 
 def test_measure_udf_matches_local(spark, chunks_rdd):
     pdf = measure_metrics(chunks_rdd, ["lorenzo"], [1e-2]).toPandas()
-    arrs = chunks_to_arrays(chunks_rdd)
+    arrs = _arrays(chunks_rdd)
     for _, r in pdf.iterrows():
         arr = arrs[(r["dataset"], r["field"], int(r["chunk_id"]))]
         d = np.asarray(arr, np.float64)

@@ -24,15 +24,23 @@ def outdir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("dump"))
 
 
+def _cands(d) -> tuple[float, ...]:
+    """The dump's candidate bounds on ``d``'s own value range."""
+    return candidate_abs_ebs(float(np.ptp(np.asarray(d, np.float64))))
+
+
 def test_offline_worstcase_is_a_candidate():
-    eb = offline_worstcase_abs_eb([1000, 3400], SHAPE, TARGET)
     d0 = rtm_snapshot(1000, SHAPE)
-    assert eb in candidate_abs_ebs(float(d0.max() - d0.min()))
+    cands = candidate_abs_ebs(float(d0.max() - d0.min()))
+    eb = offline_worstcase_abs_eb([1000, 3400], SHAPE, TARGET, "lorenzo", cands)
+    assert eb in cands
 
 
 def test_offline_worstcase_tightens_with_quality():
-    loose = offline_worstcase_abs_eb([2000], SHAPE, 30.0)
-    tight = offline_worstcase_abs_eb([2000], SHAPE, 70.0)
+    d0 = rtm_snapshot(2000, SHAPE)
+    cands = candidate_abs_ebs(float(d0.max() - d0.min()))
+    loose = offline_worstcase_abs_eb([2000], SHAPE, 30.0, "lorenzo", cands)
+    tight = offline_worstcase_abs_eb([2000], SHAPE, 70.0, "lorenzo", cands)
     assert tight <= loose
 
 
@@ -43,7 +51,7 @@ def test_dump_snapshot_writes_decodable_partitions(spark, outdir, method):
     if method == "traditional":
         kwargs["traditional_abs_eb"] = 1e-3 * float(d.max() - d.min())
     pdf = dump_snapshot(
-        spark, d, 2000, outdir, method, target_psnr_db=TARGET,
+        spark, d, 2000, outdir, method, _cands(d), target_psnr_db=TARGET,
         n_partitions=2, **kwargs,
     )
     assert len(pdf) == 2
@@ -70,7 +78,7 @@ def test_dump_snapshot_more_ranks_than_tasks(spark, outdir):
     shape = (2 * ranks, 12, 12)
     d = rtm_snapshot(2200, shape)
     pdf = dump_snapshot(
-        spark, d, 2200, outdir, "model", target_psnr_db=TARGET, n_partitions=ranks
+        spark, d, 2200, outdir, "model", _cands(d), target_psnr_db=TARGET, n_partitions=ranks
     )
     assert sorted(pdf["chunk_id"]) == list(range(ranks))
     for _, r in pdf.iterrows():
@@ -87,7 +95,8 @@ def test_dump_snapshot_rejects_codes_outside_int32(spark, outdir):
     d = (d - d.min()) / (d.max() - d.min()) * 1e6
     with pytest.raises(Exception, match="int32"):
         dump_snapshot(
-            spark, d, 7, outdir, "traditional", traditional_abs_eb=1e-5, n_partitions=1
+            spark, d, 7, outdir, "traditional", _cands(d), traditional_abs_eb=1e-5,
+            n_partitions=1,
         )
     assert not glob.glob(os.path.join(outdir, "t7_*"))
 
@@ -100,7 +109,7 @@ def test_dump_model_and_tae_meet_quality_target(spark, outdir):
     budget = rng * rng * 10 ** (-TARGET / 10)
     for method in ("tae", "model"):
         pdf = dump_snapshot(
-            spark, d, 1500, outdir, method, target_psnr_db=TARGET, n_partitions=2
+            spark, d, 1500, outdir, method, _cands(d), target_psnr_db=TARGET, n_partitions=2
         )
         assert (pdf["mse"] <= budget * 1.1).all(), method
 
@@ -110,21 +119,24 @@ def test_dump_model_optimization_cheaper_than_tae(spark, outdir):
     a non-trivial chunk — at a few thousand points the model's fixed
     bisection overhead rivals TAE's toy compressions."""
     d = rtm_snapshot(2500, (16, 48, 48))
-    tae = dump_snapshot(spark, d, 2500, outdir, "tae", target_psnr_db=TARGET, n_partitions=2)
-    ours = dump_snapshot(spark, d, 2500, outdir, "model", target_psnr_db=TARGET, n_partitions=2)
+    cands = _cands(d)
+    tae = dump_snapshot(spark, d, 2500, outdir, "tae", cands, target_psnr_db=TARGET, n_partitions=2)
+    ours = dump_snapshot(
+        spark, d, 2500, outdir, "model", cands, target_psnr_db=TARGET, n_partitions=2
+    )
     assert ours["opt_seconds"].sum() < tae["opt_seconds"].sum()
 
 
 def test_dump_unknown_method_raises(spark, outdir):
     d = rtm_snapshot(2000, SHAPE)
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        dump_snapshot(spark, d, 2000, outdir, "bogus", n_partitions=1)
+        dump_snapshot(spark, d, 2000, outdir, "bogus", _cands(d), n_partitions=1)
 
 
 def test_traditional_requires_rel_eb(spark, outdir):
     d = rtm_snapshot(2000, SHAPE)
     with pytest.raises(ValueError, match="needs traditional_abs_eb"):
-        dump_snapshot(spark, d, 2000, outdir, "traditional", n_partitions=1)
+        dump_snapshot(spark, d, 2000, outdir, "traditional", _cands(d), n_partitions=1)
 
 
 def test_run_dump_study_structure(spark, outdir):

@@ -61,8 +61,14 @@ def _mid_eb(models):
     return 3e-3 * max(m.value_range for m in models.values())
 
 
+def _grid(models):
+    """41 shared absolute bounds from 1e-5 to 0.3 of the largest range."""
+    rmax = max(m.value_range for m in models.values())
+    return np.geomspace(1e-5 * rmax, 0.3 * rmax, 41)
+
+
 def test_budgeted_allocation_meets_budget(models):
-    alloc = budgeted_allocation(models, total_bitrate=2.0)
+    alloc = budgeted_allocation(models, total_bitrate=2.0, ebs_abs=_grid(models))
     assert alloc["mean_bitrate"] <= 2.0 * 1.02
     assert set(alloc["eb_abs"]) == set(TS)
     assert all(e > 0 for e in alloc["eb_abs"].values())
@@ -74,16 +80,15 @@ def test_budgeted_allocation_beats_uniform(models):
     must contain the baseline's bound for the dominance guarantee to be
     exact (the jobs do the same)."""
     eb = _mid_eb(models)
-    rmax = max(m.value_range for m in models.values())
-    grid = np.unique(np.append(np.geomspace(1e-5 * rmax, 0.3 * rmax, 41), eb))
+    grid = np.unique(np.append(_grid(models), eb))
     uni = uniform_baseline(models, eb_abs=eb)
     alloc = budgeted_allocation(models, total_bitrate=uni["mean_bitrate"], ebs_abs=grid)
     assert alloc["sum_sigma2"] <= uni["sum_sigma2"] * 1.001
 
 
 def test_budgeted_allocation_rate_quality_tradeoff(models):
-    rich = budgeted_allocation(models, total_bitrate=4.0)
-    poor = budgeted_allocation(models, total_bitrate=1.0)
+    rich = budgeted_allocation(models, total_bitrate=4.0, ebs_abs=_grid(models))
+    poor = budgeted_allocation(models, total_bitrate=1.0, ebs_abs=_grid(models))
     assert rich["sum_sigma2"] <= poor["sum_sigma2"] * 1.01
     assert rich["mean_bitrate"] >= poor["mean_bitrate"]
 
