@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.core.ratio_model import log_bisect
 from repro.sci_data import rtm_snapshot
 from repro.usecases.insitu import (
     budgeted_allocation,
@@ -61,14 +62,12 @@ def main() -> dict[str, pd.DataFrame]:
     opt = budgeted_allocation(models, total_bitrate=uni["mean_bitrate"], ebs_abs=grid)
     # extra ratio at equal quality: shrink the budget until the optimized
     # allocation matches the uniform baseline's stacked distortion
-    lo, hi = 0.2 * uni["mean_bitrate"], uni["mean_bitrate"]
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        alloc = budgeted_allocation(models, total_bitrate=mid, ebs_abs=grid)
-        if alloc["sum_sigma2"] <= uni["sum_sigma2"]:
-            hi = mid
-        else:
-            lo = mid
+    _, hi = log_bisect(
+        lambda b: budgeted_allocation(models, total_bitrate=b, ebs_abs=grid)["sum_sigma2"]
+        > uni["sum_sigma2"],
+        0.2 * uni["mean_bitrate"],
+        uni["mean_bitrate"],
+    )
     equal_quality = budgeted_allocation(models, total_bitrate=hi, ebs_abs=grid)
     b_summary = pd.DataFrame(
         [

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 
 from repro import sci_data
-from repro.usecases.predictor_selection import crossover_bitrate, rd_curves, select_predictor
+from repro.usecases.predictor_selection import crossover_bitrate, curve_at, rd_curves, select_predictor
 
 from _common import emit
 
@@ -50,10 +50,7 @@ def main() -> dict[str, pd.DataFrame]:
     grid = np.geomspace(0.5, 8.0, 12)
 
     def meas_psnr_of(pred: str, b: float) -> float:
-        c = meas[pred]
-        br = np.asarray(c["bitrate"]); ps = np.asarray(c["psnr"])
-        o = np.argsort(br)
-        return float(np.interp(b, br[o], ps[o]))
+        return float(curve_at(meas[pred], "psnr", b))
 
     agree, regret = [], []
     for b in grid:

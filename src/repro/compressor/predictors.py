@@ -36,7 +36,8 @@ import numpy as np
 
 from .quantizer import dequantize, quantize
 
-__all__ = ["PREDICTORS", "Lorenzo", "Interpolation", "Regression", "get_predictor"]
+__all__ = ["PREDICTORS", "Lorenzo", "Interpolation", "Regression", "get_predictor",
+           "draw_sample", "SAMPLE_FLOOR"]
 
 
 def _as64(data: np.ndarray) -> np.ndarray:
@@ -57,6 +58,20 @@ class SampledErrors:
     errors: np.ndarray
     weights: np.ndarray
     group_ids: np.ndarray | None = None
+
+
+#: Fewest items (points, blocks, one interpolation level-group) a sample
+#: draws, or all when there are fewer: at paper scale 1% dominates; at laptop
+#: scale the floor keeps small strata statistically usable.
+SAMPLE_FLOOR = 64
+
+
+def draw_sample(n: int, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Indices of a ``rate`` sample of ``n`` items, drawn without
+    replacement and floored at ``SAMPLE_FLOOR``, with the weight ``n/m``
+    that restores each of the ``m`` samples' share of the population."""
+    m = min(n, max(SAMPLE_FLOOR, int(round(n * rate))))
+    return rng.choice(n, size=m, replace=False), n / m
 
 
 class _Base:
@@ -132,11 +147,8 @@ class Lorenzo(_Base):
     def sample_errors(self, data, rate, seed):
         # §III-D-1: randomly sample points, apply Lorenzo on original values.
         err = self.prediction_errors(data)
-        n = err.size
-        m = min(n, max(64, int(round(n * rate))))
-        idx = np.random.default_rng(seed).choice(n, size=m, replace=False)
-        w = np.full(m, n / m)
-        return SampledErrors(err[idx], w)
+        idx, w = draw_sample(err.size, rate, np.random.default_rng(seed))
+        return SampledErrors(err[idx], np.full(idx.size, w))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +251,13 @@ class Interpolation(_Base):
         ):
             pred = _axis_mid_pred(d[base], nt, ax)  # original-value prediction
             e = (d[tgt] - pred).ravel()
-            # floor of 64/group keeps coarse-level statistics (quiescent
+            # the per-group floor keeps coarse-level statistics (quiescent
             # fractions, see quality_model.sigma_e2_interp) usable; coarse
             # groups are a vanishing fraction of points so the cost is nil
-            m = min(e.size, max(64, int(round(e.size * rate))))
-            idx = g.choice(e.size, size=m, replace=False)
+            idx, w = draw_sample(e.size, rate, g)
             errs.append(e[idx])
-            wts.append(np.full(m, e.size / m))
-            gids.append(np.full(m, gi, dtype=np.int64))
+            wts.append(np.full(idx.size, w))
+            gids.append(np.full(idx.size, gi, dtype=np.int64))
         if not errs:  # every point is an anchor (e.g. a single point): no codes
             return SampledErrors(np.empty(0), np.empty(0), np.empty(0, np.int64))
         return SampledErrors(
@@ -363,17 +374,12 @@ class Regression(_Base):
         # §III-D-3: sample whole blocks, fit, collect residuals.
         d = _as64(data)
         blocks = self._to_blocks(d)
-        nb = blocks.shape[0]
-        # floor of 64 blocks: at paper scale 1% of blocks is thousands, but a
-        # laptop-scale chunk can have ~1e3 blocks where 1% is unrepresentative
-        m = min(nb, max(64, int(round(nb * rate))))
-        idx = np.random.default_rng(seed).choice(nb, size=m, replace=False)
+        idx, w = draw_sample(blocks.shape[0], rate, np.random.default_rng(seed))
         sub = blocks[idx]
         coefs = self._fit(sub)
         pred = self._predict(coefs, sub.shape[1:])
         errs = (sub - pred).ravel()
-        w = np.full(errs.size, nb / m)
-        return SampledErrors(errs, w)
+        return SampledErrors(errs, np.full(errs.size, w))
 
 
 PREDICTORS: dict[str, _Base] = {

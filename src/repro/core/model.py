@@ -115,42 +115,30 @@ class RatioQualityModel:
         lo = max(self.value_range * lo_rel, np.finfo(np.float64).tiny)
         return lo, max(self.value_range, lo * 10)
 
-    def _largest_eb(self, ok) -> float:
-        """Largest error bound for which the monotone predicate ``ok`` still
-        holds: log-space bisection on [range·1e-9, range] to a 0.1% bracket.
-        Pure model evaluations on the sample — no compression. Lorenzo's
-        lattice variance is not monotone at that scale, so there the result
-        is a bound where ``ok`` flips, not always the largest one."""
+    def error_bound_for_psnr(self, target_psnr_db: float) -> float:
+        """Invert the quality model: largest error bound whose estimated
+        PSNR against this chunk's own value range still meets
+        ``target_psnr_db``, i.e. the MSE inversion at its budget."""
+        return self.error_bound_for_mse(
+            quality_model.mse_budget(self.value_range, target_psnr_db)
+        )
+
+    def error_bound_for_mse(self, target_mse: float) -> float:
+        """Largest error bound whose estimated error variance stays at or
+        below ``target_mse``: ``ratio_model.log_bisect`` on [range·1e-9,
+        range], pure model evaluations on the sample — no compression.
+        Lorenzo's lattice variance is not monotone at that scale, so there
+        the result is a bound where the budget check flips, not always the
+        largest one. A PSNR floor set against a *global* peak (a
+        snapshot-level floor while this model sees one rank's partition)
+        comes in through ``quality_model.mse_budget`` on the global range."""
+        ok = lambda eb: self._sigma_e2(eb) <= target_mse  # noqa: E731
         lo, hi = self._bracket(1e-9)
         if ok(hi):
             return hi
         if not ok(lo):
             return lo
-        for _ in range(60):
-            mid = float(np.sqrt(lo * hi))
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1.001:
-                break
-        return lo
-
-    def error_bound_for_psnr(self, target_psnr_db: float) -> float:
-        """Invert the quality model: largest error bound whose estimated
-        PSNR still meets ``target_psnr_db`` (in-situ use-case 3)."""
-        return self._largest_eb(
-            lambda eb: quality_model.psnr_est(self.value_range, self._sigma_e2(eb))
-            >= target_psnr_db
-        )
-
-    def error_bound_for_mse(self, target_mse: float) -> float:
-        """Largest error bound whose estimated error variance stays at or
-        below ``target_mse``. Used when the quality target is expressed
-        against a *global* peak (e.g. a snapshot-level PSNR floor while this
-        model only sees one rank's partition): the caller converts the
-        global PSNR to an MSE budget, which is range-free."""
-        return self._largest_eb(lambda eb: self._sigma_e2(eb) <= target_mse)
+        return ratio_model.log_bisect(ok, lo, hi)[0]
 
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray, uniform_only: bool = False) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the

@@ -22,11 +22,18 @@ __all__ = [
     "sigma_e2_interp",
     "sigma_e2",
     "psnr_est",
+    "mse_budget",
+    "MSE_HEADROOM",
     "ssim_est",
     "fft_rel_error_est",
 ]
 
 _TAU = 0.25  # sigma_e2_interp's quiescence threshold τ
+
+#: The quality guard of every PSNR-floor decision (use-case 3, the dump):
+#: aim at this share of the floor's MSE budget (~1 dB above the floor) to
+#: absorb model-estimation error, as use-case 2's 20% bit-rate headroom does.
+MSE_HEADROOM = 0.8
 
 
 def sigma_e2_uniform(eb: float) -> float:
@@ -119,6 +126,12 @@ def psnr_est(value_range: float, s2: float) -> float:
     if s2 <= 0 or value_range == 0:
         return float("inf")
     return float(20.0 * np.log10(value_range) - 10.0 * np.log10(s2))
+
+
+def mse_budget(value_range: float, psnr_db: float) -> float:
+    """Eq. (12) solved for σ(E)²: the largest error variance that keeps
+    PSNR ≥ ``psnr_db`` against ``value_range``."""
+    return value_range * value_range * 10.0 ** (-psnr_db / 10.0)
 
 
 def ssim_est(sigma_d2: float, s2: float, value_range: float) -> float:

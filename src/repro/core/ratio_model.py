@@ -6,8 +6,8 @@ efficiency, and the error-bound ↔ bit-rate inversion.
 * Eq. (4): extra ratio of the optional lossless stage modelled as RLE on
   zero runs, ``R = 1/(C1(1-p0)P0 + (1-P0))`` with ``P0 = p0·l0/B``.
 * Eq. (2): ``e* = 2^(B-B*)·e`` — every doubling of the error bound costs
-  ~1 bit — applied as a (rapidly converging) fixed point on the model, with
-  a bisection fallback for the low-bit-rate regime where Eq. (3)'s
+  ~1 bit — applied as a (rapidly converging) fixed point on the model,
+  finished by ``log_bisect`` in the low-bit-rate regime where Eq. (3)'s
   approximation breaks (the paper switches to profiled p0 anchors there,
   Eq. 8; we solve the same profiled relation numerically, which is robust
   to the paper's C1-unit ambiguity in Eq. 8).
@@ -21,6 +21,7 @@ __all__ = [
     "rle_ratio",
     "lossless_bitrate",
     "invert_bitrate",
+    "log_bisect",
     "MODEL_C1_BITS",
     "MODEL_RMAX",
 ]
@@ -33,10 +34,9 @@ __all__ = [
 MODEL_C1_BITS = 5.0
 MODEL_RMAX = 2048.0
 
-#: ``invert_bitrate`` stops within this many bits/point of the target, or
-#: after this many bisection steps.
+#: ``invert_bitrate``'s Eq. (2) steps stop within this many bits/point of
+#: the target.
 _INVERT_TOL_BITS = 1e-3
-_INVERT_MAX_BISECT = 60
 
 
 def huffman_bitrate(counts: np.ndarray) -> float:
@@ -51,12 +51,7 @@ def huffman_bitrate(counts: np.ndarray) -> float:
     return float((p * lengths).sum())
 
 
-def rle_ratio(
-    p0: float,
-    bitrate: float,
-    c1_bits: float = MODEL_C1_BITS,
-    rmax: float = MODEL_RMAX,
-) -> float:
+def rle_ratio(p0: float, bitrate: float) -> float:
     """Eq. (4): extra compression ratio of the lossless stage (≥ 1).
 
     ``p0``: fraction of zero codes; ``bitrate``: Huffman bits/code. Zero's
@@ -64,60 +59,66 @@ def rle_ratio(
     lossless stage matters at all); below that the stage is modelled as a
     no-op, matching the measured behaviour (Fig. 3: lossless efficiency
     "only complements Huffman after it reaches ~1 bit/symbol"). The mean
-    zero-run length n0 = 1/(1-p0) (Eq. 7) is capped at ``rmax``.
+    zero-run length n0 = 1/(1-p0) (Eq. 7) is capped at ``MODEL_RMAX``.
     """
     if p0 <= 0.5 or bitrate <= 0:
         return 1.0
     l0 = 1.0
     P0 = min(1.0, p0 * l0 / bitrate)  # zero codes' share of encoded bits
-    e0 = c1_bits * max(1.0 - p0, 1.0 / rmax) / l0  # Eq. (5), n0 capped
+    e0 = MODEL_C1_BITS * max(1.0 - p0, 1.0 / MODEL_RMAX) / l0  # Eq. (5), n0 capped
     denom = max(e0 * P0 + (1.0 - P0), 1e-9)
     return max(1.0, 1.0 / denom)
 
 
-def lossless_bitrate(
-    bitrate: float,
-    p0: float,
-    c1_bits: float = MODEL_C1_BITS,
-    rmax: float = MODEL_RMAX,
-) -> float:
+def lossless_bitrate(bitrate: float, p0: float) -> float:
     """Bits/code after Huffman + modelled RLE stage."""
-    return bitrate / rle_ratio(p0, bitrate, c1_bits, rmax)
+    return bitrate / rle_ratio(p0, bitrate)
+
+
+def log_bisect(ok, lo: float, hi: float) -> tuple[float, float]:
+    """The one monotone search of every model-driven decision: given
+    ``ok(lo)`` and not ``ok(hi)`` (``0 < lo < hi``), bisect in log space,
+    keeping both, until ``hi/lo < 1.001`` (at least 1, at most 60 steps)
+    → ``(lo, hi)``."""
+    for _ in range(60):
+        mid = float(np.sqrt(lo * hi))
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.001:
+            break
+    return lo, hi
 
 
 def invert_bitrate(est_fn, target: float, eb_lo: float, eb_hi: float) -> float:
     """Find the error bound whose estimated bit-rate equals ``target``.
 
     ``est_fn(eb) -> bits/point`` must be (weakly) decreasing in ``eb``.
-    Starts with Eq. (2) fixed-point steps (`e ← e·2^(B(e)-B*)`), falling
-    back to bisection on [eb_lo, eb_hi] — both operate purely on the model,
-    so the cost is a handful of histogram evaluations on the 1% sample
-    (this is the whole point of the model vs trial-and-error). The fixed
-    point is why this is not the quality inversions' plain log bisection:
-    on 51 bench inversions that bisection needed 787 estimates against 599
-    (DESIGN.md §2, RLE bullet).
+    Starts with Eq. (2) fixed-point steps (`e ← e·2^(B(e)-B*)`), each
+    narrowing the bracket [eb_lo, eb_hi]; ``log_bisect`` finishes on what
+    is left (the flat low-bit-rate / RLE regime) and the bracket's upper
+    end is returned. All of it is model evaluations on the 1% sample (the
+    whole point of the model vs trial-and-error); the Eq. (2) steps save
+    estimates over bisecting from the start (DESIGN.md §2, RLE bullet).
     """
     lo, hi = float(eb_lo), float(eb_hi)
     e = float(np.sqrt(lo * hi))
     for _ in range(8):  # Eq. (2) phase
         b = est_fn(e)
         if abs(b - target) < _INVERT_TOL_BITS:
-            return min(max(e, lo), hi)
-        step = np.clip(b - target, -8.0, 8.0)
-        e = float(np.clip(e * 2.0**step, lo, hi))
-    # bisection fallback (handles the flat low-bit-rate / RLE regime)
-    blo, bhi = est_fn(lo), est_fn(hi)
-    if target >= blo:
-        return lo
-    if target <= bhi:
-        return hi
-    for _ in range(_INVERT_MAX_BISECT):
-        mid = np.sqrt(lo * hi)
-        bm = est_fn(mid)
-        if abs(bm - target) < _INVERT_TOL_BITS:
-            return float(mid)
-        if bm > target:
-            lo = mid
+            return e
+        if b > target:
+            lo = e
         else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
+            hi = e
+        e = float(e * 2.0 ** np.clip(b - target, -8.0, 8.0))
+        if not lo < e < hi:
+            break
+    # an end no estimate has narrowed is unchecked: clamp to it when the
+    # target lies beyond its bit-rate
+    if lo == eb_lo and est_fn(lo) <= target:
+        return lo
+    if hi == eb_hi and est_fn(hi) > target:
+        return hi
+    return log_bisect(lambda eb: est_fn(eb) > target, lo, hi)[1]

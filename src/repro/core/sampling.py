@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..compressor.predictors import get_predictor
+from ..compressor.predictors import draw_sample, get_predictor
 
 __all__ = ["sample_values", "weighted_std", "sample_error_report"]
 
@@ -15,9 +15,7 @@ __all__ = ["sample_values", "weighted_std", "sample_error_report"]
 def sample_values(data: np.ndarray, rate: float, seed: int) -> np.ndarray:
     """Uniform random sample of data values (for σ_D and diagnostics)."""
     flat = np.asarray(data, dtype=np.float64).ravel()
-    m = min(flat.size, max(64, int(round(flat.size * rate))))
-    idx = np.random.default_rng(seed).choice(flat.size, size=m, replace=False)
-    return flat[idx]
+    return flat[draw_sample(flat.size, rate, np.random.default_rng(seed))[0]]
 
 
 def weighted_std(x: np.ndarray, w: np.ndarray) -> float:

@@ -39,6 +39,7 @@ from pyspark.sql import SparkSession
 
 from .. import analysis
 from ..compressor import pipeline
+from ..core import quality_model
 from ..core.model import RatioQualityModel
 from ..sci_data import rtm_snapshot
 from ..sparklayer.chunks import array_to_chunks, per_chunk
@@ -117,7 +118,7 @@ def dump_snapshot(
     # the quality floor is snapshot-level PSNR (as in the paper); each rank
     # knows the snapshot's global range (an allreduce in an MPI code) and
     # keeps its partition's MSE within the implied budget
-    mse_budget = snap_range * snap_range * 10.0 ** (-target_psnr_db / 10.0)
+    mse_budget = quality_model.mse_budget(snap_range, target_psnr_db)
 
     def fn(row, arr):
         cid = int(row["chunk_id"])
@@ -138,9 +139,7 @@ def dump_snapshot(
         else:  # "model"
             t0 = time.perf_counter()
             model = RatioQualityModel(arr, predictor, seed=t + cid)
-            # ~20% MSE headroom absorbs model-estimation error
-            # (cf. the 20% bit-rate headroom of use-case 2)
-            eb = model.error_bound_for_mse(0.8 * mse_budget)
+            eb = model.error_bound_for_mse(quality_model.MSE_HEADROOM * mse_budget)
             t_opt = time.perf_counter() - t0
         t0 = time.perf_counter()
         c = pipeline.compress(arr, predictor, eb)

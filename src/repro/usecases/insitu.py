@@ -20,6 +20,8 @@ import numpy as np
 
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
+from ..core.quality_model import MSE_HEADROOM, mse_budget
+from ..core.ratio_model import log_bisect
 
 __all__ = [
     "per_snapshot_models",
@@ -27,8 +29,6 @@ __all__ = [
     "budgeted_allocation",
     "uniform_baseline",
 ]
-
-_GUARD_DB = 1.0  # dB the model aims above the PSNR floor
 
 
 def per_snapshot_models(
@@ -50,11 +50,12 @@ def quality_targeted(
     """Fig. 13: ours (per-snapshot eb at the PSNR floor) vs traditional
     (single worst-case eb — the minimum of the per-snapshot bounds, which is
     what an offline study that must protect every snapshot ends up with).
-    Both are then *actually compressed and measured*. The model aims
-    ``_GUARD_DB`` above the floor, a small safety margin absorbing
-    model-estimation error (the same role as use-case 2's 20% bit-rate
-    headroom)."""
-    ebs = {t: m.error_bound_for_psnr(target_psnr_db + _GUARD_DB) for t, m in models.items()}
+    Both are then *actually compressed and measured*. The model aims at
+    ``MSE_HEADROOM`` of the floor's MSE budget, the dump's quality guard."""
+    ebs = {
+        t: m.error_bound_for_mse(MSE_HEADROOM * mse_budget(m.value_range, target_psnr_db))
+        for t, m in models.items()
+    }
     # the traditional method picks ONE absolute bound for all snapshots
     # (the paper's offline studies use shared ABS bounds); it must hold for
     # the hardest snapshot — the one with the smallest admissible bound
@@ -109,9 +110,10 @@ def budgeted_allocation(
 
     Lagrangian sweep over per-snapshot model curves: for multiplier λ each
     snapshot independently picks the candidate minimizing ``σ² + λ·B``; λ
-    is bisected until the budget binds. The best *uniform* bound meeting
-    the budget is also evaluated and the allocation never returns worse
-    (discrete-grid Lagrangian points can otherwise land off the hull).
+    is bisected (``log_bisect``) until the budget binds. The best *uniform*
+    bound meeting the budget is also evaluated and the allocation never
+    returns worse (discrete-grid Lagrangian points can otherwise land off
+    the hull).
     """
     ebs_abs = np.asarray(ebs_abs, dtype=np.float64)
     curves = _curves(models, ebs_abs)
@@ -124,14 +126,7 @@ def budgeted_allocation(
         sum_s = float(np.sum([curves[t]["sigma2"][p] for t, p in pick.items()]))
         return pick, mean_b, sum_s
 
-    lo, hi = 1e-18 * smax, 1e6 * smax
-    for _ in range(100):
-        lam = np.sqrt(lo * hi)
-        _, mean_b, _ = allocate(lam)
-        if mean_b > total_bitrate:
-            lo = lam
-        else:
-            hi = lam
+    _, hi = log_bisect(lambda lam: allocate(lam)[1] > total_bitrate, 1e-18 * smax, 1e6 * smax)
     pick, mean_b, sum_s = allocate(hi)
     # uniform fallback: cheapest shared bound whose mean rate fits
     uni_best = None

@@ -17,7 +17,7 @@ import numpy as np
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 
-__all__ = ["rd_curves", "select_predictor", "crossover_bitrate", "Selection"]
+__all__ = ["rd_curves", "curve_at", "select_predictor", "crossover_bitrate", "Selection"]
 
 
 def rd_curves(
@@ -67,18 +67,23 @@ class Selection:
     psnr: float
 
 
+def curve_at(curve: dict, key: str, bitrate):
+    """One rate-distortion curve's ``key`` column (``"psnr"``, ``"eb_rel"``)
+    linearly interpolated at ``bitrate`` (a scalar or an array), clamped to
+    the curve's end points."""
+    br = np.asarray(curve["bitrate"], dtype=np.float64)
+    order = np.argsort(br)
+    return np.interp(bitrate, br[order], np.asarray(curve[key], dtype=np.float64)[order])
+
+
 def select_predictor(curves: dict[str, dict], target_bitrate: float) -> Selection:
     """Best predictor at a target bit-rate: interpolate each curve's
     PSNR(bitrate) and pick the highest (the paper's 'best-fit predictor for
     a given target ratio', considering quality — not just ratio)."""
     best = None
     for p, c in curves.items():
-        br = np.asarray(c["bitrate"], dtype=np.float64)
-        ps = np.asarray(c["psnr"], dtype=np.float64)
-        ebs = np.asarray(c["eb_rel"], dtype=np.float64)
-        order = np.argsort(br)
-        psnr_at = float(np.interp(target_bitrate, br[order], ps[order]))
-        eb_at = float(np.interp(target_bitrate, br[order], ebs[order]))
+        psnr_at = float(curve_at(c, "psnr", target_bitrate))
+        eb_at = float(curve_at(c, "eb_rel", target_bitrate))
         if best is None or psnr_at > best.psnr:
             best = Selection(p, eb_at, target_bitrate, psnr_at)
     assert best is not None, "no curves given"
@@ -100,20 +105,13 @@ def crossover_bitrate(
     makes the boundary well-conditioned when the curves run near-parallel
     at high rates (estimation noise then produces spurious zero-crossings).
     """
-    def interp(p):
-        br = np.asarray(curves[p]["bitrate"], dtype=np.float64)
-        ps = np.asarray(curves[p]["psnr"], dtype=np.float64)
-        order = np.argsort(br)
-        return br[order], ps[order]
-
-    b1, q1 = interp(p_low)
-    b2, q2 = interp(p_high)
-    lo = max(b1.min(), b2.min())
-    hi = min(b1.max(), b2.max())
+    c1, c2 = curves[p_low], curves[p_high]
+    lo = max(min(c1["bitrate"]), min(c2["bitrate"]))
+    hi = min(max(c1["bitrate"]), max(c2["bitrate"]))
     if not (hi > lo > 0):
         return None
     grid = np.geomspace(lo, hi, 512)
-    diff = np.interp(grid, b1, q1) - np.interp(grid, b2, q2) - margin_db
+    diff = curve_at(c1, "psnr", grid) - curve_at(c2, "psnr", grid) - margin_db
     # scan upward from the low-rate end: the boundary is the FIRST point
     # where p_low's (margined) advantage is lost — later re-crossings in the
     # near-parallel high-rate tail are estimation noise, not a preference

@@ -7,7 +7,7 @@ from repro import analysis, sci_data
 from repro.compressor import pipeline
 from repro.core import histogram
 from repro.core.model import RatioQualityModel
-from repro.core.quality_model import psnr_est, sigma_e2_uniform
+from repro.core.quality_model import mse_budget, psnr_est, sigma_e2_uniform
 
 FIELDS = [("SCALE", "PRES"), ("CESM", "TS"), ("Brown", "pressure")]
 PREDS = ["lorenzo", "interp", "regression"]
@@ -97,6 +97,17 @@ def test_error_bound_for_mse_brackets_target(field_data, pred):
     assert m.value_range * 1e-9 < eb < m.value_range
     assert m._sigma_e2(eb) <= target
     assert m._sigma_e2(eb * 1.001) > target
+
+
+@pytest.mark.parametrize("pred", PREDS)
+def test_error_bound_for_psnr_is_mse_inversion_of_its_budget(field_data, pred):
+    """The PSNR inversion is the MSE inversion at the PSNR floor's budget on
+    the chunk's own range: one quality inversion serves both."""
+    m = RatioQualityModel(field_data[("CESM", "TS")], pred, seed=9)
+    for target in (40.0, 56.0, 80.0):
+        assert m.error_bound_for_psnr(target) == m.error_bound_for_mse(
+            mse_budget(m.value_range, target)
+        )
 
 
 @pytest.mark.parametrize("pred", PREDS)

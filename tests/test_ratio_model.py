@@ -1,6 +1,8 @@
 """Tests for the compression-ratio model (§III-C, Eqs. 1–8)."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.compressor import huffman
 from repro.core import ratio_model as R
@@ -44,9 +46,12 @@ def test_rle_ratio_monotone_in_p0():
     assert rs[-1] > 10  # near-all-zero streams collapse
 
 
-def test_rle_ratio_run_cap_bounds_extreme_p0():
-    uncapped = R.rle_ratio(1.0 - 1e-9, 1.0, c1_bits=5.0, rmax=1e18)
-    capped = R.rle_ratio(1.0 - 1e-9, 1.0, c1_bits=5.0, rmax=2048)
+def test_rle_ratio_run_cap_bounds_extreme_p0(monkeypatch):
+    monkeypatch.setattr(R, "MODEL_C1_BITS", 5.0)
+    monkeypatch.setattr(R, "MODEL_RMAX", 1e18)
+    uncapped = R.rle_ratio(1.0 - 1e-9, 1.0)
+    monkeypatch.setattr(R, "MODEL_RMAX", 2048)
+    capped = R.rle_ratio(1.0 - 1e-9, 1.0)
     assert capped < uncapped
     assert capped <= 2048 / 5.0 * 1.01  # ≤ l0·rmax/C1
 
@@ -72,3 +77,13 @@ def test_invert_bitrate_clamps_to_range():
     est = lambda e: 4.0  # noqa: E731  (flat curve)
     assert R.invert_bitrate(est, 10.0, 1e-5, 1e-1) == pytest.approx(1e-5)
     assert R.invert_bitrate(est, 1.0, 1e-5, 1e-1) == pytest.approx(1e-1)
+
+
+@given(st.floats(1e-9, 1.0, exclude_max=True))
+def test_log_bisect_brackets_monotone_threshold(thr):
+    """The shared search keeps ok(lo), not ok(hi), and stops at a 0.1%
+    bracket well inside its step cap."""
+    ok = lambda x: x <= thr  # noqa: E731
+    lo, hi = R.log_bisect(ok, 1e-9, 1.0)
+    assert ok(lo) and not ok(hi)
+    assert hi / lo < 1.001

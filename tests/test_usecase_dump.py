@@ -117,14 +117,21 @@ def test_dump_model_and_tae_meet_quality_target(spark, outdir):
 def test_dump_model_optimization_cheaper_than_tae(spark, outdir):
     """The point of the paper: model optimization ≪ trial-and-error. Needs
     a non-trivial chunk — at a few thousand points the model's fixed
-    bisection overhead rivals TAE's toy compressions."""
+    bisection overhead rivals TAE's toy compressions. The two differ by
+    only ~2× here, so each method's cost is its best of 3 dumps: a one-off
+    scheduling spike on one rank must not decide the comparison."""
     d = rtm_snapshot(2500, (16, 48, 48))
     cands = _cands(d)
-    tae = dump_snapshot(spark, d, 2500, outdir, "tae", cands, target_psnr_db=TARGET, n_partitions=2)
-    ours = dump_snapshot(
-        spark, d, 2500, outdir, "model", cands, target_psnr_db=TARGET, n_partitions=2
-    )
-    assert ours["opt_seconds"].sum() < tae["opt_seconds"].sum()
+
+    def opt_seconds(method):
+        return min(
+            dump_snapshot(
+                spark, d, 2500, outdir, method, cands, target_psnr_db=TARGET, n_partitions=2
+            )["opt_seconds"].sum()
+            for _ in range(3)
+        )
+
+    assert opt_seconds("model") < opt_seconds("tae")
 
 
 def test_dump_unknown_method_raises(spark, outdir):
