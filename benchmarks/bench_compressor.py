@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro import sci_data
+from repro.analysis import value_range
 from repro.compressor import huffman, pipeline
 from repro.compressor.predictors import get_predictor
 
@@ -14,7 +15,7 @@ def field():
 
 @pytest.fixture(scope="module")
 def eb(field):
-    return 1e-3 * float(field.max() - field.min())
+    return 1e-3 * value_range(field)
 
 
 @pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
@@ -38,7 +39,7 @@ def codes(request, field):
     """Lorenzo codes at eb = 1e-3 x range (25 distinct symbols, dense span)
     and 1e-6 x range (5,995, span above the stream length: the heap-heavy
     build and the sparse histogram/lookup fallbacks)."""
-    eb = request.param * float(field.max() - field.min())
+    eb = request.param * value_range(field)
     return get_predictor("lorenzo").compress(field, eb)[0]
 
 

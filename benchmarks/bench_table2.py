@@ -1,8 +1,10 @@
 """Benchmarks behind Table II: the model's one-time sampling + per-bound
 estimation vs the measured (trial) pass it replaces, at bench scale."""
+import numpy as np
 import pytest
 
 from repro import sci_data
+from repro.analysis import value_range
 from repro.compressor import pipeline
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
@@ -15,7 +17,7 @@ def rtm():
 
 @pytest.fixture(scope="module")
 def vrange(rtm):
-    return float(rtm.max() - rtm.min())
+    return value_range(rtm)
 
 
 @pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
@@ -28,10 +30,7 @@ def test_model_estimate_sweep(benchmark, rtm, vrange):
     """All 7 error-bound estimates from one built model."""
     m = RatioQualityModel(rtm, "lorenzo", seed=7)
 
-    def sweep():
-        return [m.estimate(r * vrange) for r in EB_SWEEP_REL]
-
-    benchmark(sweep)
+    benchmark(m.curve, np.asarray(EB_SWEEP_REL) * vrange)
 
 
 def test_trial_single_eb(benchmark, rtm, vrange):

@@ -4,10 +4,11 @@ fixed cost of one ``per_chunk`` job."""
 import numpy as np
 import pytest
 
+from repro.analysis import value_range
 from repro.sci_data import rtm_snapshot
 from repro.sparklayer.chunks import chunk_rows, layout_chunks, per_chunk
 from repro.usecases.data_dump import candidate_abs_ebs, dump_snapshot
-from repro.usecases.insitu import budgeted_allocation, per_snapshot_models
+from repro.usecases.insitu import budgeted_allocation, model_curves, per_snapshot_models
 from repro.usecases.memory_target import plan_and_compress
 
 SHAPE = (16, 48, 48)
@@ -23,10 +24,12 @@ def test_memory_plan_and_compress(benchmark, snap):
 
 
 def test_insitu_allocation(benchmark):
+    """The allocation alone, over curves built once outside the timing."""
     snaps = {t: rtm_snapshot(t, SHAPE) for t in (1000, 2000, 3000)}
     models = per_snapshot_models(snaps, "lorenzo", seed=0)
     rmax = max(m.value_range for m in models.values())
-    benchmark(budgeted_allocation, models, 2.0, np.geomspace(1e-5 * rmax, 0.3 * rmax, 41))
+    curves = model_curves(models, np.geomspace(1e-5 * rmax, 0.3 * rmax, 41))
+    benchmark(budgeted_allocation, curves, 2.0)
 
 
 @pytest.mark.parametrize("method", ["tae", "model"])
@@ -37,7 +40,7 @@ def test_dump_snapshot_spark(benchmark, spark, tmp_path, method, snap):
         kwargs={
             "n_partitions": 4,
             "target_psnr_db": 50.0,
-            "candidates_abs": candidate_abs_ebs(float(snap.max() - snap.min())),
+            "candidates_abs": candidate_abs_ebs(value_range(snap)),
         },
         rounds=2,
         iterations=1,

@@ -29,6 +29,7 @@ from pyspark.sql import functions as F
 from repro import analysis, sci_data
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
+from repro.core.quality_model import fft_rel_error_est, sigma_e2_uniform
 from repro.sparklayer import table2_metrics
 from repro.sparklayer.chunks import chunk_rows, layout_chunks
 
@@ -99,7 +100,7 @@ def fft_quality_study(scale: str, predictor: str) -> pd.DataFrame:
     Nyx temperature field — measured vs our model vs the uniform-only
     prior-work baseline [23]."""
     d = sci_data.generate("Nyx", "temperature", scale).astype(np.float64)
-    rng = float(d.max() - d.min())
+    rng = analysis.value_range(d)
     _, pk, modes = analysis.power_spectrum(d)
     model = RatioQualityModel(d, predictor, seed=7)
     rows = []
@@ -114,7 +115,7 @@ def fft_quality_study(scale: str, predictor: str) -> pd.DataFrame:
                 eb_rel=ebr,
                 measured=analysis.spectrum_rel_error(d, rec),
                 model=model.estimate_fft(eb, pk, modes),
-                uniform_only=model.estimate_fft(eb, pk, modes, uniform_only=True),
+                uniform_only=fft_rel_error_est(sigma_e2_uniform(eb), d.size, pk, modes),
             )
         )
     pdf = pd.DataFrame(rows)

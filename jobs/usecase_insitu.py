@@ -18,6 +18,7 @@ from repro.core.ratio_model import log_bisect
 from repro.sci_data import rtm_snapshot
 from repro.usecases.insitu import (
     budgeted_allocation,
+    model_curves,
     per_snapshot_models,
     quality_targeted,
     uniform_baseline,
@@ -58,17 +59,19 @@ def main() -> dict[str, pd.DataFrame]:
     rmax = max(m.value_range for m in models.values())
     eb_uni = 3e-2 * rmax
     grid = np.unique(np.append(np.geomspace(1e-5 * rmax, 0.3 * rmax, 161), eb_uni))
-    uni = uniform_baseline(models, eb_abs=eb_uni)
-    opt = budgeted_allocation(models, total_bitrate=uni["mean_bitrate"], ebs_abs=grid)
+    # the curves are built once; the baseline, the allocation and every
+    # step of the equal-quality search below read them
+    curves = model_curves(models, grid)
+    uni = uniform_baseline(curves, eb_abs=eb_uni)
+    opt = budgeted_allocation(curves, total_bitrate=uni["mean_bitrate"])
     # extra ratio at equal quality: shrink the budget until the optimized
     # allocation matches the uniform baseline's stacked distortion
     _, hi = log_bisect(
-        lambda b: budgeted_allocation(models, total_bitrate=b, ebs_abs=grid)["sum_sigma2"]
-        > uni["sum_sigma2"],
+        lambda b: budgeted_allocation(curves, total_bitrate=b)["sum_sigma2"] > uni["sum_sigma2"],
         0.2 * uni["mean_bitrate"],
         uni["mean_bitrate"],
     )
-    equal_quality = budgeted_allocation(models, total_bitrate=hi, ebs_abs=grid)
+    equal_quality = budgeted_allocation(curves, total_bitrate=hi)
     b_summary = pd.DataFrame(
         [
             dict(

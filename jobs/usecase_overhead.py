@@ -2,9 +2,10 @@
 trial-and-error, averaged over the three RTM snapshots, 7 candidate error
 bounds.
 
-Ours: one 1% sampling pass + 7 cheap estimates. TAE: 7 full compression
-passes (prediction + Huffman + lossless). The paper reports 18.7× on
-average; we print per-stage timings and the resulting speedup.
+Ours: one 1% sampling pass + one 7-bound model curve (7 cheap estimates).
+TAE: 7 full compression passes (prediction + Huffman + lossless). The paper
+reports 18.7× on average; we print per-stage timings and the resulting
+speedup.
 
 Run: ``python jobs/usecase_overhead.py`` (stage timings are per-field wall
 clock on the driver, one field at a time; no Spark session).
@@ -16,7 +17,7 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro import sci_data
+from repro import analysis, sci_data
 from repro.compressor import huffman, rle
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
@@ -31,8 +32,7 @@ def time_model(data: np.ndarray, predictor: str, ebs_rel) -> dict:
     m = RatioQualityModel(data, predictor, seed=7)
     t_sample = time.perf_counter() - t0
     t0 = time.perf_counter()
-    for ebr in ebs_rel:
-        m.estimate(m.abs_bound(ebr))
+    m.curve(m.abs_bound(np.asarray(ebs_rel)))
     t_est = time.perf_counter() - t0
     return {"sampling_s": t_sample, "estimate_s": t_est, "total_s": t_sample + t_est}
 
@@ -42,8 +42,7 @@ def time_tae(data: np.ndarray, predictor: str, ebs_rel) -> dict:
     split (predictor+quantizer vs Huffman vs lossless) Fig. 9 shows."""
     from repro.compressor.predictors import get_predictor
 
-    d = np.asarray(data, dtype=np.float64)
-    vrange = float(d.max() - d.min())
+    vrange = analysis.value_range(data)
     pred = get_predictor(predictor)
     t_pred = t_huff = t_ll = 0.0
     for ebr in ebs_rel:

@@ -19,8 +19,10 @@ _K1, _K2 = 0.01, 0.03
 
 
 def value_range(data: np.ndarray) -> float:
-    d = np.asarray(data, dtype=np.float64)
-    return float(d.max() - d.min())
+    """max − min in float64, without a float64 copy of ``data``: each
+    extreme converts exactly, so it equals the range of the copy."""
+    d = np.asarray(data)
+    return float(d.max()) - float(d.min())
 
 
 def psnr(orig: np.ndarray, recon: np.ndarray) -> float:

@@ -1,9 +1,9 @@
 """End-to-end SZ3-lite compression pipeline, its byte format, and
 ground-truth measurement.
 
-``compress`` runs predictor → quantizer → Huffman (+ zlib lossless stage)
-and returns exact compressed sizes; ``decompress`` reconstructs the data
-(error-bounded) from the in-memory codes; ``measure`` produces the measured
+``compress`` runs predictor → quantizer → Huffman (+ the lossless stage of
+``rle``) and returns exact compressed sizes; ``decompress`` reconstructs the
+data (error-bounded) from the in-memory codes; ``measure`` produces the measured
 bit-rates, PSNR and (optionally) SSIM the model is evaluated against in
 Table II. The measured FFT distortion of Fig. 8 is
 ``analysis.spectrum_rel_error`` on the reconstruction.
@@ -11,19 +11,19 @@ Table II. The measured FFT distortion of Fig. 8 is
 ``to_bytes`` writes the one compressed-byte format (an SZ3-style container,
 Liang et al., IEEE TBD 2022) and ``from_bytes`` reads it back. Its fields
 are the size accounting, ``nbytes_lossless == len(blob)``, little-endian:
-header (32 B: magic ``RQ``, predictor id with the zlib flag in its top bit,
+header (32 B: magic ``RQ``, predictor id with the lossless flag in its top bit,
 float64 eb, uint32 symbol count k, 4 × uint32 shape zero-padded, 1 pad
 byte); codebook (k × int32 symbol + uint8 code length, 5 B/symbol; the
 canonical codewords follow from the lengths); float32 side data (interp
-anchors / regression coefficients, ``side_shape``); body (``zlib(Huffman
-bitstream)``, or the bitstream when zlib is no smaller). ``nbytes_huffman``
-charges the bitstream in place of the body. The model mirrors both.
+anchors / regression coefficients, ``side_shape``); body
+(``rle.lossless_bytes(Huffman bitstream)``, or the bitstream when that is no
+smaller). ``nbytes_huffman`` charges the bitstream in place of the body. The
+model mirrors both.
 """
 from __future__ import annotations
 
 import math
 import struct
-import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,7 +43,7 @@ _HEADER = struct.Struct("<2sBdI4Ix")
 HEADER_BYTES = _HEADER.size  # 32
 _MAGIC = b"RQ"
 _PREDICTOR_IDS = ("lorenzo", "interp", "regression")
-_ZLIB_FLAG = 0x80
+_LOSSLESS_FLAG = 0x80
 _CODEBOOK = np.dtype([("symbol", "<i4"), ("length", "u1")])  # 5 B per symbol
 
 
@@ -87,8 +87,8 @@ class CompressedField:
 
     @cached_property
     def body(self) -> bytes:
-        """The stored bitstream: zlib over ``payload`` (run once per field),
-        or ``payload`` itself when zlib does not make it smaller."""
+        """The stored bitstream: the lossless stage over ``payload`` (run
+        once per field), or ``payload`` itself when that is no smaller."""
         ll = rle.lossless_bytes(self.payload)
         return ll if len(ll) < len(self.payload) else self.payload
 
@@ -146,7 +146,8 @@ def to_bytes(c: CompressedField) -> bytes:
     book["symbol"], book["length"] = c.code.symbols, c.code.lengths
     if not np.array_equal(book["symbol"], c.code.symbols):
         raise ValueError("quantization code outside int32: no outlier channel to store it")
-    pid = _PREDICTOR_IDS.index(c.predictor) | (_ZLIB_FLAG if c.body is not c.payload else 0)
+    lossless = _LOSSLESS_FLAG if c.body is not c.payload else 0
+    pid = _PREDICTOR_IDS.index(c.predictor) | lossless
     dims = tuple(c.shape) + (0,) * (4 - len(c.shape))
     header = _HEADER.pack(_MAGIC, pid, c.eb_abs, len(book), *dims)
     return b"".join((header, book.tobytes(), c.extras.astype("<f4").tobytes(), c.body))
@@ -156,21 +157,21 @@ def from_bytes(blob: bytes) -> CompressedField:
     """Parse a :func:`to_bytes` blob back into a :class:`CompressedField`,
     decoding its Huffman bitstream. Raises ``ValueError`` for a bad magic,
     truncated or trailing bytes, an unknown predictor id, a shape of zero or
-    over 4 dims, a bad codebook or error bound, a corrupt zlib body, or a
+    over 4 dims, a bad codebook or error bound, a corrupt lossless body, or a
     bitstream that ends before every code is decoded."""
     if len(blob) < HEADER_BYTES:
         raise ValueError("truncated header")
     magic, pid, eb, k, *dims = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}")
-    if pid & ~_ZLIB_FLAG >= len(_PREDICTOR_IDS):
-        raise ValueError(f"unknown predictor id {pid & ~_ZLIB_FLAG}")
+    if pid & ~_LOSSLESS_FLAG >= len(_PREDICTOR_IDS):
+        raise ValueError(f"unknown predictor id {pid & ~_LOSSLESS_FLAG}")
     shape = tuple(d for d in dims if d)
     if not shape or tuple(dims) != shape + (0,) * (4 - len(shape)):
         raise ValueError(f"bad shape {tuple(dims)}: need 1-4 nonzero leading dims")
     if not 0 < eb < math.inf:
         raise ValueError(f"bad error bound {eb}")
-    pred = get_predictor(_PREDICTOR_IDS[pid & ~_ZLIB_FLAG])
+    pred = get_predictor(_PREDICTOR_IDS[pid & ~_LOSSLESS_FLAG])
     side_shape, n = pred.side_shape(shape), pred.coded_count(shape)
     side_at = HEADER_BYTES + _CODEBOOK.itemsize * k
     body_at = side_at + 4 * math.prod(side_shape)
@@ -181,8 +182,8 @@ def from_bytes(blob: bytes) -> CompressedField:
     if np.any(np.diff(symbols) <= 0):
         raise ValueError("codebook symbols are not sorted and distinct")
     payload = blob[body_at:]
-    if pid & _ZLIB_FLAG:
-        payload = _inflate(payload, -(-n * huffman.MAX_DECODE_BITS // 8))
+    if pid & _LOSSLESS_FLAG:
+        payload = rle.inflate(payload, -(-n * huffman.MAX_DECODE_BITS // 8))
     code = huffman.from_lengths(symbols, book["length"].astype(np.int64), np.zeros(k, np.int64))
     codes = code.decode(payload, n)
     code.counts = np.bincount(np.searchsorted(symbols, codes), minlength=k)
@@ -190,18 +191,6 @@ def from_bytes(blob: bytes) -> CompressedField:
     return CompressedField(
         pred.name, eb, shape, codes, side, payload, code, pred.side_bytes(shape)
     )
-
-
-def _inflate(body: bytes, limit: int) -> bytes:
-    """zlib-decompress one complete stream of at most ``limit`` bytes."""
-    d = zlib.decompressobj()
-    try:
-        out = d.decompress(body, limit + 1)
-    except zlib.error as exc:
-        raise ValueError(f"corrupt zlib body: {exc}") from None
-    if len(out) > limit or not d.eof or d.unused_data:
-        raise ValueError("zlib body is truncated, too long, or followed by bytes")
-    return out
 
 
 def measure(data: np.ndarray, predictor: str, eb_abs: float, with_ssim: bool = True) -> dict:

@@ -7,13 +7,15 @@ what replaces the trial-and-error compress-measure loop (§V-D).
 
 The code histogram always carries the phase-smear correction
 (``core.histogram``) and the error variance is the predictor-aware
-Eq. 10/11 form; the uniform-only prior-work baseline is kept only for the
-FFT estimate, where Fig. 8 plots it (``estimate_fft``).
+Eq. 10/11 form. The uniform-only prior-work baseline that Fig. 8 plots is
+``quality_model.sigma_e2_uniform`` fed to the same FFT propagation
+(``quality_model.fft_rel_error_est``); it needs no model.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from ..analysis import value_range
 from ..compressor.pipeline import overhead_bytes
 from ..compressor.predictors import get_predictor
 from ..compressor.quantizer import check_bound, check_field
@@ -46,9 +48,7 @@ class RatioQualityModel:
         s = pred.sample_errors(data, rate=sample_rate, seed=seed)
         self.errors, self.weights = s.errors, s.weights
         self.group_ids = s.group_ids
-        d = np.asarray(data, dtype=np.float64)
-        self.vmin, self.vmax = float(d.min()), float(d.max())
-        self.value_range = self.vmax - self.vmin
+        self.value_range = value_range(data)
         self.values_sample = sample_values(data, rate=sample_rate, seed=seed + 1)
         self.sigma_d2 = float(self.values_sample.var())
 
@@ -57,10 +57,8 @@ class RatioQualityModel:
         """Value-range-relative → absolute error bound."""
         return eb_rel * self.value_range
 
-    def _sigma_e2(self, eb_abs: float, uniform_only: bool = False) -> float:
+    def _sigma_e2(self, eb_abs: float) -> float:
         """Predictor-aware Eq. 10/11 error-distribution variance."""
-        if uniform_only:
-            return quality_model.sigma_e2_uniform(eb_abs)
         if self.predictor == "lorenzo":
             # lattice quantizer: every point's error is its phase residual
             return quality_model.sigma_e2_lattice(self.values_sample, eb_abs)
@@ -92,6 +90,17 @@ class RatioQualityModel:
             "psnr": quality_model.psnr_est(self.value_range, s2),
             "ssim": quality_model.ssim_est(self.sigma_d2, s2, self.value_range),
         }
+
+    def curve(self, ebs_abs) -> dict[str, np.ndarray]:
+        """The model's rate-distortion curve over the absolute bounds
+        ``ebs_abs``: ``estimate`` at each bound, as one float64 array per
+        estimate key, in bound order. The one sweep of the model over
+        bounds; every use-case decision reads these arrays. Raises
+        ``ValueError`` for an empty grid or a bound ``<= 0``."""
+        est = [self.estimate(e) for e in ebs_abs]
+        if not est:
+            raise ValueError("no error bounds to sweep")
+        return {k: np.array([e[k] for e in est]) for k in est[0]}
 
     # ------------------------------------------------------------------
     def error_bound_for_bitrate(self, target_bits_per_point: float) -> float:
@@ -140,13 +149,10 @@ class RatioQualityModel:
             return lo
         return ratio_model.log_bisect(ok, lo, hi)[0]
 
-    def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray, uniform_only: bool = False) -> float:
+    def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the
-        original data's radial spectrum (one-time analysis setup).
-        ``uniform_only=True`` gives the prior-work baseline that models the
-        error distribution as purely uniform (Eq. 10 without Eq. 11 — the
-        dashed line of Fig. 8). Raises ``ValueError`` for ``eb_abs <= 0``,
-        as ``compress`` does."""
+        original data's radial spectrum (one-time analysis setup). Raises
+        ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
         check_bound(eb_abs)
-        s2 = self._sigma_e2(eb_abs, uniform_only)
+        s2 = self._sigma_e2(eb_abs)
         return quality_model.fft_rel_error_est(s2, self.n_points, pk, modes_per_bin)

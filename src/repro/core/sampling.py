@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis import value_range
 from ..compressor.predictors import draw_sample, get_predictor
 
 __all__ = ["sample_values", "weighted_std", "sample_error_report"]
@@ -39,8 +40,7 @@ def sample_error_report(
     samp = pred.sample_errors(data, rate=rate, seed=seed)
     std_full = weighted_std(full.errors, full.weights)
     std_samp = weighted_std(samp.errors, samp.weights)
-    d = np.asarray(data, dtype=np.float64)
-    rng = float(d.max() - d.min())
+    rng = value_range(data)
     return {
         "std_full": std_full,
         "std_sample": std_samp,

@@ -29,6 +29,7 @@ from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
+from ..analysis import value_range
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 from ..core.sampling import sample_error_report
@@ -153,8 +154,7 @@ def _measure_rows(
     """One chunk's ground-truth rows for ``predictor``, one trial per error
     bound; SSIM is measured for 2D/3D chunks only, as in the paper's
     Table II."""
-    d = np.asarray(arr, dtype=np.float64)
-    vrange = float(d.max() - d.min())
+    vrange = value_range(arr)
     for ebr in ebs_rel:
         eb_abs = ebr * vrange
         t0 = time.perf_counter()

@@ -111,9 +111,7 @@ def dump_snapshot(
         raise ValueError("traditional method needs traditional_abs_eb")
     os.makedirs(outdir, exist_ok=True)
     chunks = array_to_chunks(spark, "RTM", str(t), data, n_chunks=n_partitions)
-    snap_range = float(
-        np.asarray(data, np.float64).max() - np.asarray(data, np.float64).min()
-    )
+    snap_range = analysis.value_range(data)
     cand = tuple(sorted(candidates_abs, reverse=True))
     # the quality floor is snapshot-level PSNR (as in the paper); each rank
     # knows the snapshot's global range (an allreduce in an MPI code) and
@@ -217,7 +215,7 @@ def run_dump_study(
     baseline. Quality is judged at snapshot level (the paper's PSNR), by
     recombining per-rank MSE/extrema."""
     d0 = rtm_snapshot(timesteps[0], shape)
-    cands = candidate_abs_ebs(float(d0.max() - d0.min()))
+    cands = candidate_abs_ebs(analysis.value_range(d0))
     trad_abs = offline_worstcase_abs_eb(
         timesteps, shape, target_psnr_db, predictor, cands
     )

@@ -9,9 +9,10 @@ Two optimizations from the paper:
   everyone's bound, wasting ratio on the easy ones).
 * **Budgeted quality/ratio trade** (Fig. 12): per-snapshot error bounds that
   minimize the stacked image's error variance subject to a total bit
-  budget — Lagrangian rate allocation over the per-snapshot model curves
-  (infeasible with trial-and-error: the configuration space is exponential
-  in the number of partitions). Reported as extra ratio at equal quality /
+  budget — Lagrangian rate allocation over the per-snapshot model curves,
+  built once (``model_curves``) and read by every decision (infeasible
+  with trial-and-error: the configuration space is exponential in the
+  number of partitions). Reported as extra ratio at equal quality /
   extra quality at equal ratio vs the uniform-error-bound baseline.
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ..core.ratio_model import log_bisect
 __all__ = [
     "per_snapshot_models",
     "quality_targeted",
+    "model_curves",
     "budgeted_allocation",
     "uniform_baseline",
 ]
@@ -84,79 +86,63 @@ def quality_targeted(
     }
 
 
-def _curves(models: dict[int, RatioQualityModel], ebs_abs: np.ndarray):
-    """Per-snapshot model curves over a shared ABS error-bound grid:
-    (bitrate, σ²) per candidate. σ² is absolute — error variances of
-    snapshots add directly in the stacked image (§V-E-3)."""
-    out = {}
-    for t, m in models.items():
-        est = [m.estimate(e) for e in ebs_abs]
-        out[t] = {
-            "eb_abs": np.asarray(ebs_abs, dtype=np.float64),
-            "bitrate": np.array([e["bitrate_ll"] for e in est]),
-            "sigma2": np.array([e["sigma_e2"] for e in est]),
-        }
-    return out
+def model_curves(
+    models: dict[int, RatioQualityModel], ebs_abs: np.ndarray
+) -> dict[int, dict[str, np.ndarray]]:
+    """Per-snapshot model curves (``RatioQualityModel.curve``) over one
+    shared absolute error-bound grid, built once for every decision below.
+    ``sigma_e2`` is absolute: error variances of snapshots add directly in
+    the stacked image (§V-E-3)."""
+    return {t: m.curve(ebs_abs) for t, m in models.items()}
 
 
-def budgeted_allocation(
-    models: dict[int, RatioQualityModel],
-    total_bitrate: float,
-    ebs_abs: np.ndarray,
-) -> dict:
-    """Fig. 12: choose each snapshot's eb from the shared absolute grid
-    ``ebs_abs`` to minimize the stacked image's summed error variance
-    subject to mean bit-rate ≤ ``total_bitrate``.
+def budgeted_allocation(curves: dict[int, dict], total_bitrate: float) -> dict:
+    """Fig. 12: choose each snapshot's eb from the curves' shared grid
+    (``model_curves``) to minimize the stacked image's summed error
+    variance subject to mean bit-rate ≤ ``total_bitrate``.
 
-    Lagrangian sweep over per-snapshot model curves: for multiplier λ each
-    snapshot independently picks the candidate minimizing ``σ² + λ·B``; λ
-    is bisected (``log_bisect``) until the budget binds. The best *uniform*
+    Lagrangian sweep over the curves: for multiplier λ each snapshot
+    independently picks the candidate minimizing ``σ² + λ·B``; λ is
+    bisected (``log_bisect``) until the budget binds. The best *uniform*
     bound meeting the budget is also evaluated and the allocation never
     returns worse (discrete-grid Lagrangian points can otherwise land off
-    the hull).
+    the hull). Raises ``ValueError`` for a budget below the mean of the
+    curves' lowest bit-rates, which no choice of bounds meets.
     """
-    ebs_abs = np.asarray(ebs_abs, dtype=np.float64)
-    curves = _curves(models, ebs_abs)
+    floor = float(np.mean([c["bitrate_ll"].min() for c in curves.values()]))
+    if total_bitrate < floor:
+        raise ValueError(f"budget {total_bitrate} bits/pt is below the curves' floor {floor}")
     # normalize λ scale: σ² spans many orders of magnitude across the grid
-    smax = max(c["sigma2"].max() for c in curves.values())
+    smax = max(c["sigma_e2"].max() for c in curves.values())
 
-    def allocate(lam: float):
-        pick = {t: int(np.argmin(c["sigma2"] + lam * c["bitrate"])) for t, c in curves.items()}
-        mean_b = float(np.mean([curves[t]["bitrate"][p] for t, p in pick.items()]))
-        sum_s = float(np.sum([curves[t]["sigma2"][p] for t, p in pick.items()]))
-        return pick, mean_b, sum_s
+    def allocate(lam: float) -> dict:
+        pick = {t: int(np.argmin(c["sigma_e2"] + lam * c["bitrate_ll"])) for t, c in curves.items()}
+        return {
+            "eb_abs": {t: float(curves[t]["eb_abs"][p]) for t, p in pick.items()},
+            "mean_bitrate": float(np.mean([curves[t]["bitrate_ll"][p] for t, p in pick.items()])),
+            "sum_sigma2": float(np.sum([curves[t]["sigma_e2"][p] for t, p in pick.items()])),
+        }
 
-    _, hi = log_bisect(lambda lam: allocate(lam)[1] > total_bitrate, 1e-18 * smax, 1e6 * smax)
-    pick, mean_b, sum_s = allocate(hi)
-    # uniform fallback: cheapest shared bound whose mean rate fits
-    uni_best = None
-    for j in range(len(ebs_abs)):
-        mb = float(np.mean([c["bitrate"][j] for c in curves.values()]))
-        if mb <= total_bitrate:
-            ss = float(np.sum([c["sigma2"][j] for c in curves.values()]))
-            if uni_best is None or ss < uni_best[1]:
-                uni_best = (j, ss, mb)
-    if uni_best is not None and uni_best[1] < sum_s:
-        j, sum_s, mean_b = uni_best
-        pick = {t: j for t in curves}
+    over = lambda lam: allocate(lam)["mean_bitrate"] > total_bitrate  # noqa: E731
+    best = allocate(log_bisect(over, 1e-18 * smax, 1e6 * smax)[1])
+    for eb in next(iter(curves.values()))["eb_abs"]:
+        uni = uniform_baseline(curves, eb)
+        if uni["mean_bitrate"] <= total_bitrate and uni["sum_sigma2"] < best["sum_sigma2"]:
+            best = {**uni, "eb_abs": dict.fromkeys(curves, uni["eb_abs"])}
+    return best
+
+
+def uniform_baseline(curves: dict[int, dict], eb_abs: float) -> dict:
+    """Same absolute error bound for every snapshot (the paper's baseline):
+    the curves' column at ``eb_abs``. Raises ``ValueError`` when ``eb_abs``
+    is not a point of the curves' shared grid."""
+    grid = next(iter(curves.values()))["eb_abs"]
+    hit = np.flatnonzero(grid == eb_abs)
+    if len(hit) == 0:
+        raise ValueError(f"error bound {eb_abs} is not on the curves' grid")
+    j = int(hit[0])
     return {
-        "eb_abs": {t: float(curves[t]["eb_abs"][p]) for t, p in pick.items()},
-        "mean_bitrate": mean_b,
-        "sum_sigma2": sum_s,
-    }
-
-
-def uniform_baseline(
-    models: dict[int, RatioQualityModel], eb_abs: float
-) -> dict:
-    """Same absolute error bound for every snapshot (the paper's baseline)."""
-    bs, ss = [], []
-    for t, m in models.items():
-        e = m.estimate(eb_abs)
-        bs.append(e["bitrate_ll"])
-        ss.append(e["sigma_e2"])
-    return {
-        "mean_bitrate": float(np.mean(bs)),
-        "sum_sigma2": float(np.sum(ss)),
-        "eb_abs": eb_abs,
+        "mean_bitrate": float(np.mean([c["bitrate_ll"][j] for c in curves.values()])),
+        "sum_sigma2": float(np.sum([c["sigma_e2"][j] for c in curves.values()])),
+        "eb_abs": float(grid[j]),
     }

@@ -9,11 +9,11 @@ instead.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis import value_range
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 
@@ -29,33 +29,21 @@ def rd_curves(
 ) -> dict[str, dict]:
     """Rate-distortion curves per predictor.
 
-    → ``{predictor: {"eb_rel", "bitrate", "psnr", "seconds"}}``; estimated
-    from the model by default, or measured via real compression
-    (``measured=True`` — the trial-and-error path, for validation/timing).
+    → ``{predictor: {"eb_rel", "bitrate", "psnr"}}``; estimated from the
+    model (one ``RatioQualityModel.curve``) by default, or measured via real
+    compression (``measured=True`` — the trial-and-error path, for
+    validation/timing).
     """
-    d = np.asarray(data, dtype=np.float64)
-    vrange = float(d.max() - d.min())
+    vrange = value_range(data)
     out: dict[str, dict] = {}
     for p in predictors:
-        t0 = time.perf_counter()
-        brs, psnrs = [], []
         if measured:
-            for ebr in ebs_rel:
-                m = pipeline.measure(data, p, ebr * vrange, with_ssim=False)
-                brs.append(m["bitrate_ll"])
-                psnrs.append(m["psnr"])
+            ms = [pipeline.measure(data, p, ebr * vrange, with_ssim=False) for ebr in ebs_rel]
+            c = {k: [m[k] for m in ms] for k in ("bitrate_ll", "psnr")}
         else:
             model = RatioQualityModel(data, p, seed=seed)
-            for ebr in ebs_rel:
-                est = model.estimate(model.abs_bound(ebr))
-                brs.append(est["bitrate_ll"])
-                psnrs.append(est["psnr"])
-        out[p] = {
-            "eb_rel": list(ebs_rel),
-            "bitrate": brs,
-            "psnr": psnrs,
-            "seconds": time.perf_counter() - t0,
-        }
+            c = model.curve(model.abs_bound(np.asarray(ebs_rel)))
+        out[p] = {"eb_rel": list(ebs_rel), "bitrate": c["bitrate_ll"], "psnr": c["psnr"]}
     return out
 
 

@@ -7,7 +7,7 @@ from repro import analysis, sci_data
 from repro.compressor import pipeline
 from repro.core import histogram
 from repro.core.model import RatioQualityModel
-from repro.core.quality_model import mse_budget, psnr_est, sigma_e2_uniform
+from repro.core.quality_model import fft_rel_error_est, mse_budget, psnr_est, sigma_e2_uniform
 
 FIELDS = [("SCALE", "PRES"), ("CESM", "TS"), ("Brown", "pressure")]
 PREDS = ["lorenzo", "interp", "regression"]
@@ -126,18 +126,47 @@ def test_estimates_reject_nonpositive_eb(field_data, pred, eb):
 
 def test_uniform_only_baseline_differs_at_high_eb(field_data):
     """The prior-work uniform-distribution baseline (dashed lines in
-    Figs. 6/8) must coincide at low error bounds and diverge at high ones
-    for a predictor with central-bin concentration."""
+    Figs. 6/8: ``sigma_e2_uniform`` in place of the model's σ²) must
+    coincide at low error bounds and diverge at high ones for a predictor
+    with central-bin concentration, in PSNR and in the FFT distortion."""
     d = field_data[("SCALE", "PRES")]
     m = RatioQualityModel(d, "regression", seed=7)
     lo = m.abs_bound(1e-4)
     hi = m.abs_bound(1e-1)
+    _, pk, modes = analysis.power_spectrum(np.asarray(d, np.float64))
 
     def uniform(eb):
         return psnr_est(m.value_range, sigma_e2_uniform(eb))
 
+    def uniform_fft(eb):  # Fig. 8's baseline, as jobs/table2_accuracy.py computes it
+        return fft_rel_error_est(sigma_e2_uniform(eb), m.n_points, pk, modes)
+
     assert m.estimate(lo)["psnr"] == pytest.approx(uniform(lo), abs=0.5)
     assert m.estimate(hi)["psnr"] > uniform(hi) + 1.0
+    assert m.estimate_fft(lo, pk, modes) == pytest.approx(uniform_fft(lo), rel=0.01)
+    assert m.estimate_fft(hi, pk, modes) < uniform_fft(hi) / 2
+
+
+@pytest.mark.parametrize("pred", PREDS)
+def test_curve_equals_per_bound_estimates(field_data, pred):
+    """``curve`` is ``estimate`` at each bound: one float64 array per
+    estimate key, in the order the bounds are given (here unsorted)."""
+    m = RatioQualityModel(field_data[("CESM", "TS")], pred, seed=3)
+    ebs = m.abs_bound(np.array([1e-2, 1e-4, 1e-1, 1e-3]))
+    curve = m.curve(ebs)
+    est = [m.estimate(e) for e in ebs]
+    assert list(curve) == list(est[0])
+    for k, col in curve.items():
+        assert col.dtype == np.float64
+        assert np.array_equal(col, [e[k] for e in est]), k
+
+
+def test_curve_rejects_empty_grid_and_bad_bound(field_data):
+    m = RatioQualityModel(field_data[("CESM", "TS")], "lorenzo", seed=3)
+    with pytest.raises(ValueError, match="no error bounds"):
+        m.curve([])
+    with pytest.raises(ValueError, match="error bound must be positive"):
+        m.curve([1e-3, 0.0])
 
 
 def test_phase_correction_beats_none_at_high_eb(field_data, monkeypatch):

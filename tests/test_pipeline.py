@@ -128,7 +128,7 @@ def test_measure_runs_lossless_stage_once(monkeypatch):
 
 # -- the compressed-byte format ----------------------------------------------
 
-_ZLIB_FLAG = 0x80
+_LOSSLESS_FLAG = 0x80
 
 
 def _assert_roundtrip(c):
@@ -204,7 +204,7 @@ def test_blob_with_raw_body():
     assert len(zlib.compress(c.payload)) >= len(c.payload)
     assert c.body is c.payload
     blob = _assert_roundtrip(c)
-    assert not blob[2] & _ZLIB_FLAG
+    assert not blob[2] & _LOSSLESS_FLAG
     assert blob.endswith(c.payload)
 
 
@@ -212,7 +212,7 @@ def test_blob_with_zlib_body():
     d = sci_data.generate("SCALE", "PRES", "test")
     c = pipeline.compress(d, "lorenzo", 0.1 * float(d.max() - d.min()))
     blob = _assert_roundtrip(c)
-    assert blob[2] & _ZLIB_FLAG
+    assert blob[2] & _LOSSLESS_FLAG
     assert blob.endswith(c.body) and c.body == zlib.compress(c.payload)
 
 
@@ -252,7 +252,7 @@ def _blob(zipped: bool) -> bytes:
     d = sci_data.generate("SCALE", "PRES", "test")
     ebr = 0.1 if zipped else 1e-3
     blob = pipeline.to_bytes(pipeline.compress(d, "lorenzo", ebr * float(d.max() - d.min())))
-    assert bool(blob[2] & _ZLIB_FLAG) == zipped
+    assert bool(blob[2] & _LOSSLESS_FLAG) == zipped
     return blob
 
 
@@ -277,7 +277,7 @@ _MUTATIONS = {
     "truncated codebook": lambda b: b[:40],
     "truncated body": lambda b: b[:-1],
     "trailing byte": lambda b: b + b"\0",
-    "unknown predictor": lambda b: _patch(b, 2, "<B", (b[2] & _ZLIB_FLAG) | 3),
+    "unknown predictor": lambda b: _patch(b, 2, "<B", (b[2] & _LOSSLESS_FLAG) | 3),
     "zero dims": lambda b: _patch(b, 15, "<4I", 0, 0, 0, 0),
     "dim after padding": lambda b: _patch(b, 15, "<4I", 12, 0, 24, 24),
     "symbol count too large": lambda b: _patch(b, 11, "<I", 2**32 - 1),
@@ -327,7 +327,7 @@ def test_from_bytes_rejects_undecodable_bit_pattern(shape, bit):
     stream's length would still fit."""
     c = pipeline.compress(np.zeros(shape), "lorenzo", 0.1)
     blob = bytearray(pipeline.to_bytes(c))
-    assert not blob[2] & _ZLIB_FLAG and blob.endswith(c.payload) and not any(c.payload)
+    assert not blob[2] & _LOSSLESS_FLAG and blob.endswith(c.payload) and not any(c.payload)
     blob[len(blob) - len(c.payload) + bit // 8] |= 0x80 >> (bit % 8)
     with pytest.raises(ValueError, match="ends before"):
         pipeline.from_bytes(bytes(blob))

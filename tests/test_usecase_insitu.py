@@ -5,6 +5,7 @@ import pytest
 from repro.sci_data import rtm_snapshot
 from repro.usecases.insitu import (
     budgeted_allocation,
+    model_curves,
     per_snapshot_models,
     quality_targeted,
     uniform_baseline,
@@ -67,32 +68,65 @@ def _grid(models):
     return np.geomspace(1e-5 * rmax, 0.3 * rmax, 41)
 
 
-def test_budgeted_allocation_meets_budget(models):
-    alloc = budgeted_allocation(models, total_bitrate=2.0, ebs_abs=_grid(models))
+@pytest.fixture(scope="module")
+def curves(models):
+    return model_curves(models, _grid(models))
+
+
+@pytest.fixture(scope="module")
+def mid_curves(models):
+    """The grid plus the baseline's bound: the candidate grid must contain
+    it for the dominance guarantee to be exact (the jobs do the same)."""
+    return model_curves(models, np.unique(np.append(_grid(models), _mid_eb(models))))
+
+
+def test_model_curves_share_the_grid(models, curves):
+    assert set(curves) == set(TS)
+    for c in curves.values():
+        assert np.array_equal(c["eb_abs"], _grid(models))
+
+
+def test_budgeted_allocation_meets_budget(curves):
+    alloc = budgeted_allocation(curves, total_bitrate=2.0)
     assert alloc["mean_bitrate"] <= 2.0 * 1.02
     assert set(alloc["eb_abs"]) == set(TS)
     assert all(e > 0 for e in alloc["eb_abs"].values())
 
 
-def test_budgeted_allocation_beats_uniform(models):
+def test_budgeted_allocation_beats_uniform(models, mid_curves):
     """Fig. 12's claim: fine-grained bounds dominate a uniform bound at the
-    same total rate (equal-or-better stacked quality). The candidate grid
-    must contain the baseline's bound for the dominance guarantee to be
-    exact (the jobs do the same)."""
-    eb = _mid_eb(models)
-    grid = np.unique(np.append(_grid(models), eb))
-    uni = uniform_baseline(models, eb_abs=eb)
-    alloc = budgeted_allocation(models, total_bitrate=uni["mean_bitrate"], ebs_abs=grid)
+    same total rate (equal-or-better stacked quality)."""
+    uni = uniform_baseline(mid_curves, eb_abs=_mid_eb(models))
+    alloc = budgeted_allocation(mid_curves, total_bitrate=uni["mean_bitrate"])
     assert alloc["sum_sigma2"] <= uni["sum_sigma2"] * 1.001
 
 
-def test_budgeted_allocation_rate_quality_tradeoff(models):
-    rich = budgeted_allocation(models, total_bitrate=4.0, ebs_abs=_grid(models))
-    poor = budgeted_allocation(models, total_bitrate=1.0, ebs_abs=_grid(models))
+def test_budgeted_allocation_rate_quality_tradeoff(curves):
+    rich = budgeted_allocation(curves, total_bitrate=4.0)
+    poor = budgeted_allocation(curves, total_bitrate=1.0)
     assert rich["sum_sigma2"] <= poor["sum_sigma2"] * 1.01
     assert rich["mean_bitrate"] >= poor["mean_bitrate"]
 
 
-def test_uniform_baseline_fields(models):
-    uni = uniform_baseline(models, eb_abs=_mid_eb(models))
+def test_budgeted_allocation_rejects_infeasible_budget():
+    """A budget below the mean of the curves' lowest bit-rates cannot be
+    met by any choice of bounds: it raises instead of returning an
+    allocation over budget."""
+    snaps = {t: rtm_snapshot(t, (16, 48, 48)) for t in (1000, 2000, 3000)}
+    models = per_snapshot_models(snaps, "lorenzo", seed=0)
+    curves = model_curves(models, _grid(models))
+    floor = float(np.mean([c["bitrate_ll"].min() for c in curves.values()]))
+    assert floor > 0.2
+    with pytest.raises(ValueError, match="below the curves' floor"):
+        budgeted_allocation(curves, total_bitrate=0.2)
+    assert budgeted_allocation(curves, total_bitrate=floor)["mean_bitrate"] <= floor
+
+
+def test_uniform_baseline_fields(models, mid_curves):
+    uni = uniform_baseline(mid_curves, eb_abs=_mid_eb(models))
     assert uni["mean_bitrate"] > 0 and uni["sum_sigma2"] > 0
+
+
+def test_uniform_baseline_needs_a_grid_bound(curves, models):
+    with pytest.raises(ValueError, match="not on the curves' grid"):
+        uniform_baseline(curves, eb_abs=_mid_eb(models))

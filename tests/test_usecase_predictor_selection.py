@@ -23,7 +23,6 @@ def test_estimated_curves_shape(rtm):
     assert set(curves) == {"lorenzo", "interp"}
     for c in curves.values():
         assert len(c["bitrate"]) == len(EBS) == len(c["psnr"])
-        assert c["seconds"] > 0
 
 
 def test_measured_curves_monotone(rtm):
