@@ -5,6 +5,12 @@ These are the *measured* counterparts of the quality model in
 derivation (Eq. 16) starts from, with the standard constants
 ``C3=(K2·range)²`` (variance term) and ``C4=(K1·range)²`` (mean term).
 
+``judge`` is the one judgement of a reconstruction: every trial (Table II's
+measurements, the dump's trial-and-error loop and rank rows) takes its MSE,
+max error, PSNR and SSIM from it, and ``psnr_db`` is the one measured Eq. 14
+(the dump recombines its snapshot PSNR with it). ``psnr`` and
+``ssim_global`` read one key of ``judge``.
+
 Both metrics scale the error by the value range, so a constant field
 (range 0) gives them nothing to measure it against: it reads PSNR = inf and
 SSIM = 1, as an exact reconstruction does, in the model as well.
@@ -13,7 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["psnr", "ssim_global", "power_spectrum", "spectrum_rel_error", "value_range"]
+__all__ = [
+    "judge", "psnr", "psnr_db", "ssim_global", "power_spectrum", "spectrum_rel_error",
+    "value_range",
+]
 
 _K1, _K2 = 0.01, 0.03
 
@@ -25,36 +34,53 @@ def value_range(data: np.ndarray) -> float:
     return float(d.max()) - float(d.min())
 
 
+def psnr_db(value_range: float, mse: float) -> float:
+    """Measured PSNR in dB (Eq. 14) of a mean squared error against a value
+    range (the peak); inf with no error or no range (a constant field)."""
+    if mse == 0 or value_range == 0:
+        return float("inf")
+    return float(10.0 * np.log10(value_range * value_range / mse))
+
+
+def judge(orig: np.ndarray, recon: np.ndarray, with_ssim: bool = False) -> dict:
+    """The measured quality of ``recon`` against ``orig``: ``mse``,
+    ``max_err`` (max point-wise absolute error), ``psnr`` (``psnr_db``) and
+    ``ssim`` (``ssim_global``'s Eq. 16, NaN unless ``with_ssim``), all from
+    one float64 view, one error field and one value range."""
+    o = np.asarray(orig, dtype=np.float64)
+    r = np.asarray(recon, dtype=np.float64)
+    err = o - r
+    mse = float(np.mean(err**2))
+    max_err = float(np.max(np.abs(err)))
+    rng = value_range(o)
+    ssim = float("nan")
+    if with_ssim:
+        ssim = 1.0  # Eq. 16 is 0/0 for an exact reconstruction or no range
+        if rng != 0 and max_err != 0:
+            o, r = o.ravel(), r.ravel()
+            c4 = (_K1 * rng) ** 2  # mean (luminance) constant
+            c3 = (_K2 * rng) ** 2  # variance (contrast/structure) constant
+            mu_o, mu_r = o.mean(), r.mean()
+            var_o, var_r = o.var(), r.var()
+            cov = float(np.mean((o - mu_o) * (r - mu_r)))
+            ssim = float(
+                (2 * mu_o * mu_r + c4)
+                * (2 * cov + c3)
+                / ((mu_o**2 + mu_r**2 + c4) * (var_o + var_r + c3))
+            )
+    return {"mse": mse, "max_err": max_err, "psnr": psnr_db(rng, mse), "ssim": ssim}
+
+
 def psnr(orig: np.ndarray, recon: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB (Eq. 14), peak = value range; inf for
     an exact reconstruction or a constant field."""
-    o = np.asarray(orig, dtype=np.float64)
-    r = np.asarray(recon, dtype=np.float64)
-    mse = float(np.mean((o - r) ** 2))
-    rng = value_range(o)
-    if mse == 0 or rng == 0:
-        return float("inf")
-    return 10.0 * np.log10(rng * rng / mse)
+    return judge(orig, recon)["psnr"]
 
 
 def ssim_global(orig: np.ndarray, recon: np.ndarray) -> float:
     """Global-statistics SSIM (Eq. 16) with standard K1/K2 constants; 1.0 for
     an exact reconstruction or a constant field, where Eq. 16 is 0/0."""
-    o = np.asarray(orig, dtype=np.float64).ravel()
-    r = np.asarray(recon, dtype=np.float64).ravel()
-    rng = value_range(o)
-    if rng == 0 or np.array_equal(o, r):
-        return 1.0
-    c4 = (_K1 * rng) ** 2  # mean (luminance) constant
-    c3 = (_K2 * rng) ** 2  # variance (contrast/structure) constant
-    mu_o, mu_r = o.mean(), r.mean()
-    var_o, var_r = o.var(), r.var()
-    cov = float(np.mean((o - mu_o) * (r - mu_r)))
-    return float(
-        (2 * mu_o * mu_r + c4)
-        * (2 * cov + c3)
-        / ((mu_o**2 + mu_r**2 + c4) * (var_o + var_r + c3))
-    )
+    return judge(orig, recon, with_ssim=True)["ssim"]
 
 
 def power_spectrum(data: np.ndarray):

@@ -3,10 +3,11 @@ ground-truth measurement.
 
 ``compress`` runs predictor → quantizer → Huffman (+ the lossless stage of
 ``rle``) and returns exact compressed sizes; ``decompress`` reconstructs the
-data (error-bounded) from the in-memory codes; ``measure`` produces the measured
-bit-rates, PSNR and (optionally) SSIM the model is evaluated against in
-Table II. The measured FFT distortion of Fig. 8 is
-``analysis.spectrum_rel_error`` on the reconstruction.
+data (error-bounded) from the in-memory codes; ``measure`` produces the
+measured bit-rates and, through ``analysis.judge``, the MSE, max error, PSNR
+and (optionally) SSIM the model is evaluated against in Table II. The
+measured FFT distortion of Fig. 8 is ``analysis.spectrum_rel_error`` on the
+reconstruction.
 
 ``to_bytes`` writes the one compressed-byte format (an SZ3-style container,
 Liang et al., IEEE TBD 2022) and ``from_bytes`` reads it back. Its fields
@@ -197,12 +198,11 @@ def measure(data: np.ndarray, predictor: str, eb_abs: float, with_ssim: bool = T
     """Ground-truth metrics for one (field, predictor, eb) configuration.
 
     This is the trial-and-error baseline's unit of work: a full compression,
-    decompression and post-hoc analysis pass. ``ssim`` is NaN unless
-    ``with_ssim``.
+    decompression and post-hoc analysis pass. The size fields come from the
+    compressed field and ``mse``, ``max_err``, ``psnr`` and ``ssim`` from
+    ``analysis.judge`` (``ssim`` is NaN unless ``with_ssim``).
     """
     c = compress(data, predictor, eb_abs)
-    recon = decompress(c)
-    d = np.asarray(data, np.float64)
     return {
         "predictor": predictor,
         "eb_abs": float(eb_abs),
@@ -211,7 +211,5 @@ def measure(data: np.ndarray, predictor: str, eb_abs: float, with_ssim: bool = T
         "nbytes_huff": c.nbytes_huffman,
         "nbytes_ll": c.nbytes_lossless,
         "p0": c.p0,
-        "psnr": analysis.psnr(d, recon),
-        "max_err": float(np.max(np.abs(d - recon))),
-        "ssim": analysis.ssim_global(d, recon) if with_ssim else float("nan"),
+        **analysis.judge(data, decompress(c), with_ssim),
     }

@@ -40,3 +40,8 @@ SHAPES: dict[str, dict[str, tuple[int, ...]]] = {
 #: Error-bound sweep (value-range-relative) used for the Table II accuracy
 #: evaluation and the overhead study — "7 candidate error bounds" (§V-D).
 EB_SWEEP_REL: tuple[float, ...] = (1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1)
+
+#: Dimensionalities whose SSIM Table II reports: the paper gives SSIM for
+#: 2D/3D image-like fields only (the 1D HACC/Brown and 4D EXAFEL rows show
+#: "-"). ``FieldSpec.has_ssim`` and the Table II measurements both read it.
+SSIM_NDIMS: tuple[int, ...] = (2, 3)

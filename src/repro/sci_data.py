@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import SHAPES
+from .config import SHAPES, SSIM_NDIMS
 
 __all__ = ["FIELDS", "FieldSpec", "generate", "rtm_snapshot", "grf"]
 
@@ -211,9 +211,11 @@ class FieldSpec:
     ndim: int
     seed: int
     gen: Callable[[tuple[int, ...], int], np.ndarray]
-    #: SSIM is only reported for 2D/3D image-like fields in the paper
-    #: (HACC / Brown / EXAFEL rows show "-").
-    has_ssim: bool = True
+
+    @property
+    def has_ssim(self) -> bool:
+        """Whether Table II reports this field's SSIM (``SSIM_NDIMS``)."""
+        return self.ndim in SSIM_NDIMS
 
 
 #: The 17 dataset fields of Table II, in the paper's order.
@@ -228,13 +230,13 @@ FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("Nyx", "dark_matter", 3, 301, _nyx_dark_matter),
     FieldSpec("Nyx", "temperature", 3, 302, _nyx_temperature),
     FieldSpec("Nyx", "velocity_z", 3, 303, _nyx_velocity_z),
-    FieldSpec("HACC", "xx", 1, 401, _hacc_xx, has_ssim=False),
-    FieldSpec("HACC", "vx", 1, 402, _hacc_vx, has_ssim=False),
-    FieldSpec("Brown", "pressure", 1, 501, _brown_pressure, has_ssim=False),
+    FieldSpec("HACC", "xx", 1, 401, _hacc_xx),
+    FieldSpec("HACC", "vx", 1, 402, _hacc_vx),
+    FieldSpec("Brown", "pressure", 1, 501, _brown_pressure),
     FieldSpec("Miranda", "vx", 3, 601, _miranda_vx),
     FieldSpec("QMCPACK", "einspine", 3, 701, _qmcpack_einspine),
     FieldSpec("SCALE", "PRES", 3, 801, _scale_pres),
-    FieldSpec("EXAFEL", "raw", 4, 901, _exafel_raw, has_ssim=False),
+    FieldSpec("EXAFEL", "raw", 4, 901, _exafel_raw),
 )
 
 

@@ -17,7 +17,7 @@ the measurement side by side, so the Table II job deserializes each chunk
 once; its aggregation to per-field Table II rows is one Spark SQL
 ``groupBy``, checked against the DuckDB oracle in tests.
 """
-from .chunks import array_to_chunks, chunk_to_array  # noqa: F401
+from .chunks import chunk_to_array  # noqa: F401
 from .model_udf import (  # noqa: F401
     estimate_metrics,
     measure_metrics,

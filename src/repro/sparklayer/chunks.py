@@ -5,8 +5,8 @@ where ``values`` is the raw little-endian buffer of a C-contiguous array of
 shape ``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds
 a contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
 ``chunk_rows`` cuts one field; ``layout_chunks`` turns chunk rows into an
-RDD (``array_to_chunks`` for one field; the Table II job passes every
-field's rows at once). ``per_chunk`` is the one place per-chunk work enters
+RDD (the dump passes one snapshot's rows, the Table II job every field's
+rows at once). ``per_chunk`` is the one place per-chunk work enters
 the Spark executors. Chunks travel as pickled dicts through the RDD API: a
 chunk is an opaque blob that a columnar format cannot help with, so the
 per-chunk path makes no Arrow or pandas conversion, and Spark SQL starts only
@@ -31,7 +31,6 @@ from pyspark import RDD
 from pyspark.sql import SparkSession
 
 __all__ = [
-    "array_to_chunks",
     "chunk_rows",
     "chunk_to_array",
     "layout_chunks",
@@ -82,17 +81,6 @@ def layout_chunks(spark: SparkSession, rows: list[dict]) -> RDD:
         groups[g].append(r)
         load[g] += len(r["values"])
     return sc.parallelize(groups, p).flatMap(iter)
-
-
-def array_to_chunks(
-    spark: SparkSession,
-    dataset: str,
-    field: str,
-    arr: np.ndarray,
-    n_chunks: int = 4,
-) -> RDD:
-    """One field → chunk RDD of ``n_chunks`` slabs (``layout_chunks``)."""
-    return layout_chunks(spark, chunk_rows(dataset, field, arr, n_chunks))
 
 
 def chunk_to_array(row: dict) -> np.ndarray:

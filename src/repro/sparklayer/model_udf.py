@@ -2,18 +2,18 @@
 as ``per_chunk`` transformations over chunk RDDs.
 
 Three module-level generators turn one chunk and one predictor into rows:
-``_estimate_rows`` runs the paper's model (one-time 1% sample, then
-per-error-bound estimates), ``_measure_rows`` runs the real SZ3-lite
-compressor (the trial-and-error unit of work) and measures ratio + post-hoc
-quality, and ``_sample_row`` reports the fidelity of the sampled
+``_estimate_rows`` runs the paper's model (one-time 1% sample, then one
+``curve`` sweep over the error bounds), ``_measure_rows`` runs the real
+SZ3-lite compressor (the trial-and-error unit of work) and measures ratio +
+post-hoc quality, and ``_sample_row`` reports the fidelity of the sampled
 prediction-error distribution. ``estimate_metrics``, ``measure_metrics`` and
 ``sample_reports`` each run one of them over every chunk; the first two share
-``METRIC_SCHEMA``, whose wall-clock ``seconds`` feed the overhead study
-(Fig. 9 / Table E1). ``table2_metrics`` runs all three in a single executor
-pass and emits one wide row per (chunk, predictor, error bound) holding the
-estimate, the measurement and the chunk's sample report, so the Table II job
-deserializes each chunk once and needs no join: its Spark SQL is one
-``groupBy``.
+``METRIC_SCHEMA``, whose wall-clock ``seconds`` summed over a (chunk,
+predictor) group are the executor time of the model or of the trials.
+``table2_metrics`` runs all three in a single executor pass and emits one
+wide row per (chunk, predictor, error bound) holding the estimate, the
+measurement and the chunk's sample report, so the Table II job deserializes
+each chunk once and needs no join: its Spark SQL is one ``groupBy``.
 
 Spark SQL starts here: each public function turns its RDD of row dicts into
 a DataFrame with one ``createDataFrame(rdd, schema)`` (``_to_dataframe``),
@@ -31,6 +31,7 @@ from pyspark.sql import types as T
 
 from ..analysis import value_range
 from ..compressor import pipeline
+from ..config import SSIM_NDIMS
 from ..core.model import RatioQualityModel
 from ..core.sampling import sample_error_report
 from .chunks import per_chunk
@@ -136,29 +137,29 @@ def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
 def _estimate_rows(
     row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], seed: int
 ) -> Iterator[dict]:
-    """One chunk's model rows for ``predictor``, one per error bound
-    (``seconds`` as in ``estimate_metrics``)."""
+    """One chunk's model rows for ``predictor``, one per error bound, from
+    one ``curve`` sweep (``seconds`` as in ``estimate_metrics``)."""
     t0 = time.perf_counter()
     model = RatioQualityModel(arr, predictor, seed=seed)
-    t_build = time.perf_counter() - t0
+    curve = model.curve(model.abs_bound(np.asarray(ebs_rel)))
+    dt = time.perf_counter() - t0
     for i, ebr in enumerate(ebs_rel):
-        t0 = time.perf_counter()
-        est = model.estimate(model.abs_bound(ebr))
-        dt = time.perf_counter() - t0 + (t_build if i == 0 else 0.0)
-        yield _metric_row(row, arr, predictor, "est", ebr, est["eb_abs"], est, dt)
+        est = {k: v[i] for k, v in curve.items()}
+        seconds = dt if i == 0 else 0.0
+        yield _metric_row(row, arr, predictor, "est", ebr, est["eb_abs"], est, seconds)
 
 
 def _measure_rows(
     row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float]
 ) -> Iterator[dict]:
     """One chunk's ground-truth rows for ``predictor``, one trial per error
-    bound; SSIM is measured for 2D/3D chunks only, as in the paper's
-    Table II."""
+    bound; SSIM is measured for the chunks whose ``ndim`` is in
+    ``config.SSIM_NDIMS`` only, as in the paper's Table II."""
     vrange = value_range(arr)
     for ebr in ebs_rel:
         eb_abs = ebr * vrange
         t0 = time.perf_counter()
-        m = pipeline.measure(arr, predictor, eb_abs, with_ssim=arr.ndim in (2, 3))
+        m = pipeline.measure(arr, predictor, eb_abs, with_ssim=arr.ndim in SSIM_NDIMS)
         dt = time.perf_counter() - t0
         yield _metric_row(row, arr, predictor, "meas", ebr, eb_abs, m, dt)
 
@@ -182,10 +183,10 @@ def estimate_metrics(
 ) -> DataFrame:
     """Model estimates per (chunk, predictor, error bound).
 
-    ``seconds`` on each row is that estimate's marginal cost; the one-time
-    sampling cost is amortized into the first row of each (chunk, predictor)
-    group — summing ``seconds`` over a group gives the full model cost, the
-    quantity compared against trial-and-error in the overhead study.
+    The model's build (the one-time 1% sample) and its one ``curve`` sweep
+    are timed together: the first row of each (chunk, predictor) group
+    holds those ``seconds`` and the others 0.0, so a group's sum is the
+    model's full cost on that chunk.
     """
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]

@@ -19,16 +19,22 @@ Three methods, as in Fig. 14:
 * **traditional** — one static offline error bound for every snapshot (the
   worst-case bound from an offline study; its cost is not part of dumping);
 * **tae** — in-situ trial-and-error: each rank test-compresses its chunk at
-  5 candidate error bounds, measures PSNR, picks the cheapest bound meeting
-  the target, then compresses for real (experimenting time = optimization);
+  5 candidate error bounds, measures each trial's MSE, picks the cheapest
+  bound within the target's MSE budget, then compresses for real
+  (experimenting time = optimization);
 * **model** — ours: each rank builds the ratio-quality model (1% sample)
-  and inverts it for the PSNR target, then compresses once.
+  and inverts it for the same budget with ``quality_model.MSE_HEADROOM``,
+  then compresses once. A constant rank (all-zero ahead of the wavefront)
+  has no bounds to search and takes ``sqrt(MSE_HEADROOM · budget)``.
 
-Per-phase wall time of a snapshot is the **max over ranks** (the parallel
-barrier), as in an MPI collective dump.
+Every trial and every rank's row is judged by ``analysis.judge``; the
+snapshot PSNR recombines the ranks' MSE and extrema with
+``analysis.psnr_db``. Per-phase wall time of a snapshot is the **max over
+ranks** (the parallel barrier), as in an MPI collective dump.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from typing import Sequence
@@ -42,7 +48,7 @@ from ..compressor import pipeline
 from ..core import quality_model
 from ..core.model import RatioQualityModel
 from ..sci_data import rtm_snapshot
-from ..sparklayer.chunks import array_to_chunks, per_chunk
+from ..sparklayer.chunks import chunk_rows, layout_chunks, per_chunk
 
 __all__ = [
     "dump_snapshot",
@@ -110,13 +116,14 @@ def dump_snapshot(
     if method == "traditional" and traditional_abs_eb is None:
         raise ValueError("traditional method needs traditional_abs_eb")
     os.makedirs(outdir, exist_ok=True)
-    chunks = array_to_chunks(spark, "RTM", str(t), data, n_chunks=n_partitions)
+    chunks = layout_chunks(spark, chunk_rows("RTM", str(t), data, n_partitions))
     snap_range = analysis.value_range(data)
     cand = tuple(sorted(candidates_abs, reverse=True))
     # the quality floor is snapshot-level PSNR (as in the paper); each rank
     # knows the snapshot's global range (an allreduce in an MPI code) and
     # keeps its partition's MSE within the implied budget
     mse_budget = quality_model.mse_budget(snap_range, target_psnr_db)
+    target_mse = quality_model.MSE_HEADROOM * mse_budget  # the model method aims here
 
     def fn(row, arr):
         cid = int(row["chunk_id"])
@@ -127,17 +134,20 @@ def dump_snapshot(
             t0 = time.perf_counter()
             eb = cand[-1]  # fallback: strictest candidate
             for eb_try in cand:  # largest (cheapest) first
-                c = pipeline.compress(arr, predictor, eb_try)
-                rec = pipeline.decompress(c)
-                mse = float(np.mean((np.asarray(arr, np.float64) - rec) ** 2))
-                if mse <= mse_budget:
+                rec = pipeline.decompress(pipeline.compress(arr, predictor, eb_try))
+                if analysis.judge(arr, rec)["mse"] <= mse_budget:
                     eb = eb_try
                     break
             t_opt = time.perf_counter() - t0
         else:  # "model"
             t0 = time.perf_counter()
             model = RatioQualityModel(arr, predictor, seed=t + cid)
-            eb = model.error_bound_for_mse(quality_model.MSE_HEADROOM * mse_budget)
+            if model.value_range == 0:
+                # a constant rank gives the inversion no bounds to search;
+                # any reconstruction within eb has MSE <= eb², so this fits
+                eb = math.sqrt(target_mse)
+            else:
+                eb = model.error_bound_for_mse(target_mse)
             t_opt = time.perf_counter() - t0
         t0 = time.perf_counter()
         c = pipeline.compress(arr, predictor, eb)
@@ -156,8 +166,7 @@ def dump_snapshot(
             if budget > t_io:
                 time.sleep(budget - t_io)
                 t_io = budget
-        rec = pipeline.decompress(c)
-        a64 = np.asarray(arr, np.float64)
+        q = analysis.judge(arr, pipeline.decompress(c))
         return [
             dict(
                 t=t,
@@ -168,11 +177,11 @@ def dump_snapshot(
                 io_seconds=t_io,
                 nbytes=int(nbytes),
                 eb_abs=float(eb),
-                psnr=analysis.psnr(arr, rec),
-                mse=float(np.mean((a64 - rec) ** 2)),
+                psnr=q["psnr"],
+                mse=q["mse"],
                 n_points=int(arr.size),
-                vmin=float(a64.min()),
-                vmax=float(a64.max()),
+                vmin=float(arr.min()),
+                vmax=float(arr.max()),
             )
         ]
 
@@ -250,10 +259,7 @@ def run_dump_study(
             )
             # snapshot-level PSNR from per-rank pieces
             mse = float((pdf["mse"] * pdf["n_points"]).sum() / pdf["n_points"].sum())
-            vrange = float(pdf["vmax"].max() - pdf["vmin"].min())
-            snap_psnr = (
-                float("inf") if mse == 0 else 10 * np.log10(vrange * vrange / mse)
-            )
+            snap_psnr = analysis.psnr_db(float(pdf["vmax"].max() - pdf["vmin"].min()), mse)
             records.append(
                 dict(
                     t=int(t),

@@ -68,3 +68,44 @@ def test_spectrum_rel_error_grows_with_noise():
     a = analysis.spectrum_rel_error(d, d + rng.normal(size=d.shape) * 0.01)
     b = analysis.spectrum_rel_error(d, d + rng.normal(size=d.shape) * 0.3)
     assert a < b
+
+
+@pytest.mark.parametrize("shape", [(256,), (16, 16), (8, 8, 8)])
+@pytest.mark.parametrize("noise", [0.0, 1e-3, 0.1])
+def test_judge_agrees_with_each_metric(shape, noise):
+    """One judgement: PSNR is ``psnr_db`` of its own range and MSE, MSE is
+    at most the squared max error, ``psnr``/``ssim_global`` read its keys,
+    and an exact reconstruction gives MSE 0, PSNR inf and SSIM 1."""
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=shape).astype(np.float32)
+    r = d + noise * rng.normal(size=shape)
+    j = analysis.judge(d, r, with_ssim=True)
+    assert j["psnr"] == analysis.psnr_db(analysis.value_range(d), j["mse"])
+    assert j["mse"] <= j["max_err"] ** 2
+    assert j["max_err"] == np.max(np.abs(np.asarray(d, np.float64) - r))
+    assert j["psnr"] == analysis.psnr(d, r)
+    assert j["ssim"] == analysis.ssim_global(d, r)
+    assert np.isnan(analysis.judge(d, r)["ssim"])
+    if noise == 0:
+        assert (j["mse"], j["psnr"], j["ssim"]) == (0.0, float("inf"), 1.0)
+    else:
+        assert 0 < j["mse"] and np.isfinite(j["psnr"]) and j["ssim"] < 1
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_judge_constant_field_psnr_inf(offset):
+    """A constant field has no range to scale an error by: PSNR inf and
+    SSIM 1 whether or not the reconstruction is exact."""
+    d = np.full((8, 8), 2.0)
+    j = analysis.judge(d, d + offset, with_ssim=True)
+    assert j["mse"] == offset**2 and j["max_err"] == offset
+    assert (j["psnr"], j["ssim"]) == (float("inf"), 1.0)
+
+
+@pytest.mark.parametrize(
+    "vrange,mse,expected",
+    [(1.0, 0.005, 10 * np.log10(200.0)), (2.0, 0.0, float("inf")), (0.0, 0.5, float("inf"))],
+)
+def test_psnr_db(vrange, mse, expected):
+    """Eq. 14, inf at zero error or zero range (never -inf)."""
+    assert analysis.psnr_db(vrange, mse) == pytest.approx(expected)

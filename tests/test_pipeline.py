@@ -25,6 +25,16 @@ def test_roundtrip_error_bounded(pred, ds, fld):
     assert np.max(np.abs(rec - np.asarray(d, np.float64))) <= eb + 1e-5 * rng
 
 
+@pytest.mark.parametrize("pred", PREDS)
+def test_measure_mse_within_squared_bound(pred):
+    """A reconstruction within eb point-wise has MSE <= eb²: the guarantee
+    the dump's constant-rank bound relies on."""
+    d = sci_data.generate("Nyx", "dark_matter", "test")
+    eb = 1e-3 * float(d.max() - d.min())
+    m = pipeline.measure(d, pred, eb, with_ssim=False)
+    assert 0 < m["mse"] <= m["max_err"] ** 2 <= eb**2
+
+
 @pytest.mark.parametrize("pred", sorted(PREDICTORS))
 @pytest.mark.parametrize("eb", [0.0, -0.1])
 def test_compress_rejects_nonpositive_eb(pred, eb):

@@ -19,7 +19,6 @@ from repro.compressor import pipeline
 from repro.core.model import RatioQualityModel
 from repro.oracle import assert_equivalent
 from repro.sparklayer import (
-    array_to_chunks,
     chunk_to_array,
     estimate_metrics,
     measure_metrics,
@@ -32,7 +31,7 @@ from repro.sparklayer.chunks import _drop_zip_finders, chunk_rows, layout_chunks
 @pytest.fixture(scope="module")
 def chunks_rdd(spark):
     d = sci_data.generate("SCALE", "PRES", "test")
-    return array_to_chunks(spark, "SCALE", "PRES", d, n_chunks=3).cache()
+    return layout_chunks(spark, chunk_rows("SCALE", "PRES", d, 3)).cache()
 
 
 def _arrays(chunks) -> dict[tuple[str, str, int], np.ndarray]:
@@ -66,7 +65,7 @@ def test_chunk_schema(chunks_rdd):
 
 def test_chunking_single_chunk(spark):
     d = sci_data.generate("Brown", "pressure", "test")
-    rdd = array_to_chunks(spark, "Brown", "pressure", d, n_chunks=1)
+    rdd = layout_chunks(spark, chunk_rows("Brown", "pressure", d, 1))
     assert rdd.count() == 1
     np.testing.assert_array_equal(chunk_to_array(rdd.first()), d)
 
@@ -163,7 +162,7 @@ def test_per_chunk_leaves_reused_workers_no_zip_finders(spark):
     every task, which re-reads ``pyspark.zip`` once per cached ``zipimporter``.
     A worker that already ran a ``per_chunk`` task holds none of them."""
     p = spark.sparkContext.defaultParallelism
-    rdd = array_to_chunks(spark, "T", "f", np.zeros((p, 4), np.float32), n_chunks=p)
+    rdd = layout_chunks(spark, chunk_rows("T", "f", np.zeros((p, 4), np.float32), p))
 
     # Counted inline so that ``fn`` pickles by value: the workers never
     # import this test module.
@@ -226,7 +225,7 @@ def test_table2_metrics_matches_separate_passes(spark, chunks_rdd):
     chunk's unmeasured SSIM read as null) and the chunk's sample report."""
     preds, ebs = ["lorenzo", "interp"], [1e-3, 1e-2]
     brown = sci_data.generate("Brown", "pressure", "test")
-    chunks = chunks_rdd.union(array_to_chunks(spark, "Brown", "pressure", brown, 2))
+    chunks = chunks_rdd.union(layout_chunks(spark, chunk_rows("Brown", "pressure", brown, 2)))
     wide = table2_metrics(chunks, preds, ebs, seed=1).toPandas()
     keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
     rows_per_chunk = wide.groupby(keys[:3]).size()
@@ -254,7 +253,8 @@ def test_table2_metrics_rows_carry_null_ssim_and_plain_types(spark):
     other value as the schema's Python type, and the DataFrame's plan has no
     ``Exchange``."""
     brown = sci_data.generate("Brown", "pressure", "test")
-    df = table2_metrics(array_to_chunks(spark, "Brown", "pressure", brown, 2), ["lorenzo"], [1e-2])
+    chunks = layout_chunks(spark, chunk_rows("Brown", "pressure", brown, 2))
+    df = table2_metrics(chunks, ["lorenzo"], [1e-2])
     assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
     rows = df.collect()
     assert len(rows) == 2

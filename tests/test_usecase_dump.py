@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compressor import pipeline
+from repro.core import quality_model
 from repro.sci_data import rtm_snapshot
 from repro.usecases.data_dump import (
     candidate_abs_ebs,
@@ -112,6 +113,26 @@ def test_dump_model_and_tae_meet_quality_target(spark, outdir):
             spark, d, 1500, outdir, method, _cands(d), target_psnr_db=TARGET, n_partitions=2
         )
         assert (pdf["mse"] <= budget * 1.1).all(), method
+
+
+@pytest.mark.parametrize("method", ["tae", "model"])
+def test_dump_constant_rank(spark, outdir, method):
+    """A rank whose slab is constant (all zero ahead of the wavefront)
+    dumps with both in-situ methods, although the model has no bounds to
+    search there: every rank's MSE meets the snapshot budget and its file
+    reads back within its bound."""
+    d = rtm_snapshot(3000, SHAPE)
+    d[:2] = 0
+    budget = quality_model.mse_budget(float(d.max() - d.min()), TARGET)
+    pdf = dump_snapshot(
+        spark, d, 3000, outdir, method, _cands(d), target_psnr_db=TARGET, n_partitions=4
+    )
+    assert (pdf["mse"] <= budget).all()
+    for _, r in pdf.iterrows():
+        cid = int(r["chunk_id"])
+        rec = read_partition_file(os.path.join(outdir, f"t3000_{method}_p{cid}.bin"))
+        orig = np.asarray(d[2 * cid : 2 * cid + 2], np.float64)
+        assert np.max(np.abs(rec - orig)) <= r["eb_abs"]
 
 
 def test_dump_model_optimization_cheaper_than_tae(spark, outdir):
