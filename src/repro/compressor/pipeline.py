@@ -33,7 +33,7 @@ import numpy as np
 from .. import analysis
 from . import huffman, rle
 from .predictors import get_predictor
-from .quantizer import check_field
+from .quantizer import check_field, p0_of
 
 __all__ = [
     "CompressedField", "compress", "decompress", "measure", "to_bytes", "from_bytes",
@@ -105,10 +105,7 @@ class CompressedField:
     @property
     def p0(self) -> float:
         """Fraction of quantization codes equal to zero."""
-        i = np.searchsorted(self.code.symbols, 0)
-        if i < len(self.code.symbols) and self.code.symbols[i] == 0:
-            return float(self.code.counts[i]) / max(1, self.code.n)
-        return 0.0
+        return p0_of(self.code.symbols, self.code.counts)
 
 
 def compress(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField:

@@ -4,6 +4,10 @@ from *reconstructed* values, as the real compressor must) and a sampling path
 that collects prediction errors from *original* values (what the model uses,
 §III-D-4).
 
+Sampling is one stratified walk in ``_Base`` over the strata each predictor
+declares (``_strata``). Its draw is the model's one sample, which Table II's
+"Sample Err." (``core.sampling``) reads against ``prediction_errors``.
+
 Vectorization notes
 -------------------
 * **Lorenzo** uses the exact lattice identity: with linear-scaling
@@ -50,14 +54,14 @@ class SampledErrors:
     that restore each stratum's share of the full dataset (Σ weights ≈ number
     of quantization codes the compressor will emit).
 
-    ``group_ids`` (interpolation only) tags each sample with its
-    (level, axis) refinement group, numbered in compression order
-    (coarse → fine); the quality model uses this to propagate neighbour
+    ``group_ids`` tags each sample with its stratum; for interpolation that
+    is its (level, axis) refinement group in compression order (coarse →
+    fine), which the quality model uses to propagate neighbour
     reconstruction-error variance level by level."""
 
     errors: np.ndarray
     weights: np.ndarray
-    group_ids: np.ndarray | None = None
+    group_ids: np.ndarray
 
 
 #: Fewest items (points, blocks, one interpolation level-group) a sample
@@ -103,8 +107,33 @@ class _Base:
         raise NotImplementedError
 
     # -- model-facing sampling (§III-D) ----------------------------------
-    def sample_errors(self, data: np.ndarray, rate: float, seed: int) -> SampledErrors:
+    def _strata(self, d: np.ndarray) -> list[tuple]:
+        """Sampling strata of the float64 field ``d``, in order: (number of
+        items, function from item indices to those items' original-value
+        prediction errors, flat and the same count per item)."""
         raise NotImplementedError
+
+    def sample_errors(self, data: np.ndarray, rate: float, seed: int) -> SampledErrors:
+        """A ``draw_sample`` of every stratum, in order, from one RNG;
+        weighted back to the stratum's size and tagged with its id."""
+        rng = np.random.default_rng(seed)
+        errs, wts = [], []
+        for n, errors_at in self._strata(_as64(data)):
+            idx, w = draw_sample(n, rate, rng)
+            errs.append(errors_at(idx))
+            wts.append(w)
+        sizes = [e.size for e in errs]
+        return SampledErrors(
+            np.concatenate([np.empty(0), *errs]),
+            np.repeat(np.asarray(wts, np.float64), sizes),
+            np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        )
+
+    def prediction_errors(self, data: np.ndarray) -> np.ndarray:
+        """Every original-value prediction error, stratum by stratum in
+        item order (the population ``sample_errors`` draws from)."""
+        strata = self._strata(_as64(data))
+        return np.concatenate([np.empty(0), *(errors_at(np.arange(n)) for n, errors_at in strata)])
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +168,9 @@ class Lorenzo(_Base):
         k = self._inverse(codes.reshape(shape).astype(np.int64))
         return dequantize(k, eb)
 
-    def prediction_errors(self, data: np.ndarray) -> np.ndarray:
-        """Full prediction-error field on original values (= Lorenzo finite
-        difference of the float data)."""
-        return self._forward(_as64(data)).ravel()
-
-    def sample_errors(self, data, rate, seed):
-        # §III-D-1: randomly sample points, apply Lorenzo on original values.
-        err = self.prediction_errors(data)
-        idx, w = draw_sample(err.size, rate, np.random.default_rng(seed))
-        return SampledErrors(err[idx], np.full(idx.size, w))
+    def _strata(self, d):
+        # §III-D-1: points; each one's error is the finite difference
+        return [(d.size, lambda idx: self._forward(d).ravel()[idx])]
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +261,16 @@ class Interpolation(_Base):
             r[tgt] = pred + dequantize(q, eb)
         return r
 
-    def sample_errors(self, data, rate, seed):
+    def _strata(self, d):
         # §III-D-2: stratified by level — coarser levels hold 2^-ndim the
         # points of the next finer one, so sampling a fixed fraction of each
-        # (level, axis) group realizes the paper's level-scaled rates.
-        d = _as64(data)
-        g = np.random.default_rng(seed)
-        errs, wts, gids = [], [], []
-        for gi, (s, ax, tgt, base, nt) in enumerate(
-            _interp_groups(d.shape, _anchor_stride(d.shape))
-        ):
-            pred = _axis_mid_pred(d[base], nt, ax)  # original-value prediction
-            e = (d[tgt] - pred).ravel()
-            # the per-group floor keeps coarse-level statistics (quiescent
-            # fractions, see quality_model.sigma_e2_interp) usable; coarse
-            # groups are a vanishing fraction of points so the cost is nil
-            idx, w = draw_sample(e.size, rate, g)
-            errs.append(e[idx])
-            wts.append(np.full(idx.size, w))
-            gids.append(np.full(idx.size, gi, dtype=np.int64))
-        if not errs:  # every point is an anchor (e.g. a single point): no codes
-            return SampledErrors(np.empty(0), np.empty(0), np.empty(0, np.int64))
-        return SampledErrors(
-            np.concatenate(errs), np.concatenate(wts), np.concatenate(gids)
-        )
+        # (level, axis) group realizes the paper's level-scaled rates. The
+        # per-group floor keeps coarse-level statistics (quiescent
+        # fractions, see quality_model.sigma_e2_interp) usable; coarse
+        # groups are a vanishing fraction of points so the cost is nil.
+        groups = _interp_groups(d.shape, _anchor_stride(d.shape))
+        errs = [(d[t] - _axis_mid_pred(d[b], nt, ax)).ravel() for _, ax, t, b, nt in groups]
+        return [(e.size, e.__getitem__) for e in errs]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +349,11 @@ class Regression(_Base):
         flat = blocks.reshape(blocks.shape[0], -1)
         coords = self._coords(bs)
         cols = [flat.mean(axis=1)]
+        # einsum, not BLAS, whose rounding depends on a row's position: a
+        # block's fit must not depend on the other blocks fitted with it
         for g in coords:
             gf = g.ravel()
-            cols.append(flat @ gf / float(gf @ gf))
+            cols.append(np.einsum("ij,j->i", flat, gf) / float(gf @ gf))
         return np.stack(cols, axis=1).astype(np.float32)
 
     def _predict(self, coefs: np.ndarray, bs) -> np.ndarray:
@@ -356,13 +366,14 @@ class Regression(_Base):
             pred += c64[:, a + 1].reshape((-1,) + (1,) * len(bs)) * g
         return pred
 
-    def compress(self, data, eb):
-        d = _as64(data)
-        blocks = self._to_blocks(d)
+    def _residuals(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """→ (``blocks`` minus their own fit, float32 coefficients)."""
         coefs = self._fit(blocks)
-        pred = self._predict(coefs, blocks.shape[1:])
-        q = quantize(blocks - pred, eb)
-        return q.ravel(), coefs
+        return blocks - self._predict(coefs, blocks.shape[1:]), coefs
+
+    def compress(self, data, eb):
+        res, coefs = self._residuals(self._to_blocks(_as64(data)))
+        return quantize(res, eb).ravel(), coefs
 
     def decompress(self, codes, shape, eb, side):
         bs = self._block_shape(len(shape))
@@ -370,16 +381,10 @@ class Regression(_Base):
         q = codes.reshape(pred.shape)
         return self._from_blocks(pred + dequantize(q, eb), shape)
 
-    def sample_errors(self, data, rate, seed):
-        # §III-D-3: sample whole blocks, fit, collect residuals.
-        d = _as64(data)
+    def _strata(self, d):
+        # §III-D-3: whole blocks; only the drawn ones are fitted
         blocks = self._to_blocks(d)
-        idx, w = draw_sample(blocks.shape[0], rate, np.random.default_rng(seed))
-        sub = blocks[idx]
-        coefs = self._fit(sub)
-        pred = self._predict(coefs, sub.shape[1:])
-        errs = (sub - pred).ravel()
-        return SampledErrors(errs, np.full(errs.size, w))
+        return [(blocks.shape[0], lambda idx: self._residuals(blocks[idx])[0].ravel())]
 
 
 PREDICTORS: dict[str, _Base] = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_bound", "check_field", "quantize", "dequantize"]
+__all__ = ["check_bound", "check_field", "quantize", "dequantize", "p0_of"]
 
 
 def check_bound(eb: float) -> None:
@@ -42,3 +42,8 @@ def dequantize(codes: np.ndarray, eb: float) -> np.ndarray:
     """Quantization codes → reconstructed prediction errors (bin centres)."""
     return (2.0 * eb) * np.asarray(codes, dtype=np.float64)
 
+
+def p0_of(symbols: np.ndarray, counts: np.ndarray) -> float:
+    """Fraction of the (estimated) code stream that is code zero."""
+    total = counts.sum()
+    return float(counts[symbols == 0].sum() / total) if total > 0 else 0.0

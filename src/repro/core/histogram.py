@@ -27,7 +27,7 @@ import numpy as np
 
 from ..compressor.quantizer import quantize
 
-__all__ = ["p0_of", "phase_smear", "phase_alpha"]
+__all__ = ["phase_smear", "phase_alpha"]
 
 #: Phase-transfer multiplier α per (predictor, ndim) — calibrated once on
 #: the synthetic corpus (see DESIGN.md, "Correction layer (Eq. 9)"); no
@@ -65,13 +65,3 @@ def phase_smear(
     keep = cnts > 0
     return syms[keep], cnts[keep]
 
-
-def p0_of(symbols: np.ndarray, counts: np.ndarray) -> float:
-    """Fraction of the (estimated) code stream that is code zero."""
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    i = np.searchsorted(symbols, 0)
-    if i < len(symbols) and symbols[i] == 0:
-        return float(counts[i] / total)
-    return 0.0

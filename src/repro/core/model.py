@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis import value_range
 from ..compressor.pipeline import overhead_bytes
 from ..compressor.predictors import get_predictor
-from ..compressor.quantizer import check_bound, check_field
+from ..compressor.quantizer import check_bound, check_field, p0_of
 from . import histogram, quality_model, ratio_model
 from .sampling import sample_values
 
@@ -46,8 +46,7 @@ class RatioQualityModel:
         self.side_bytes = pred.side_bytes(self.shape)
         self.alpha = histogram.phase_alpha(predictor, self.ndim)
         s = pred.sample_errors(data, rate=sample_rate, seed=seed)
-        self.errors, self.weights = s.errors, s.weights
-        self.group_ids = s.group_ids
+        self.errors, self.weights, self.group_ids = s.errors, s.weights, s.group_ids
         self.value_range = value_range(data)
         self.values_sample = sample_values(data, rate=sample_rate, seed=seed + 1)
         self.sigma_d2 = float(self.values_sample.var())
@@ -74,7 +73,7 @@ class RatioQualityModel:
         ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
         check_bound(eb_abs)
         syms, cnts = histogram.phase_smear(self.errors, self.weights, eb_abs, self.alpha)
-        p0 = histogram.p0_of(syms, cnts)
+        p0 = p0_of(syms, cnts)
         b_code = ratio_model.huffman_bitrate(cnts)
         b_code_ll = ratio_model.lossless_bitrate(b_code, p0)
         oh = 8.0 * overhead_bytes(len(syms), self.side_bytes)

@@ -1,7 +1,8 @@
 """Sampling helpers for the model (§III-D) and the Table II "Sample Err."
 column (§V-B-1): how faithful is the 1% sampled prediction-error
 distribution to the full one, measured as |std_sample − std_full| relative
-to the data's value range.
+to the data's value range. The sample is the model's own (one
+``sample_errors`` draw); the full one is ``prediction_errors``.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 from ..analysis import value_range
 from ..compressor.predictors import draw_sample, get_predictor
 
-__all__ = ["sample_values", "weighted_std", "sample_error_report"]
+__all__ = ["sample_values", "weighted_std", "sample_error_report", "sample_fidelity"]
 
 
 def sample_values(data: np.ndarray, rate: float, seed: int) -> np.ndarray:
@@ -35,11 +36,16 @@ def sample_error_report(
 ) -> dict:
     """Table II "Sample Err.": std of sampled vs full prediction errors,
     relative to the value range (Fig. 4's metric)."""
-    pred = get_predictor(predictor)
-    full = pred.sample_errors(data, rate=1.0, seed=seed)
-    samp = pred.sample_errors(data, rate=rate, seed=seed)
-    std_full = weighted_std(full.errors, full.weights)
-    std_samp = weighted_std(samp.errors, samp.weights)
+    sample = get_predictor(predictor).sample_errors(data, rate, seed)
+    return sample_fidelity(data, predictor, sample)
+
+
+def sample_fidelity(data: np.ndarray, predictor: str, sample) -> dict:
+    """``sample_error_report`` of a drawn ``sample``: anything with its
+    ``errors`` and ``weights``, a ``SampledErrors`` or a model's own."""
+    full = get_predictor(predictor).prediction_errors(data)
+    std_full = weighted_std(full, np.ones(full.size))
+    std_samp = weighted_std(sample.errors, sample.weights)
     rng = value_range(data)
     return {
         "std_full": std_full,

@@ -1,19 +1,19 @@
 """Per-partition ratio-quality modeling and ground-truth compression,
 as ``per_chunk`` transformations over chunk RDDs.
 
-Three module-level generators turn one chunk and one predictor into rows:
-``_estimate_rows`` runs the paper's model (one-time 1% sample, then one
-``curve`` sweep over the error bounds), ``_measure_rows`` runs the real
+Two module-level functions turn one chunk and one predictor into rows:
+``_estimate_rows`` builds the paper's model (one-time 1% sample, then one
+``curve`` sweep over the error bounds) and ``_measure_rows`` runs the real
 SZ3-lite compressor (the trial-and-error unit of work) and measures ratio +
-post-hoc quality, and ``_sample_row`` reports the fidelity of the sampled
-prediction-error distribution. ``estimate_metrics``, ``measure_metrics`` and
-``sample_reports`` each run one of them over every chunk; the first two share
-``METRIC_SCHEMA``, whose wall-clock ``seconds`` summed over a (chunk,
-predictor) group are the executor time of the model or of the trials.
-``table2_metrics`` runs all three in a single executor pass and emits one
-wide row per (chunk, predictor, error bound) holding the estimate, the
-measurement and the chunk's sample report, so the Table II job deserializes
-each chunk once and needs no join: its Spark SQL is one ``groupBy``.
+post-hoc quality. ``estimate_metrics`` and ``measure_metrics`` each run one
+of them over every chunk and share ``METRIC_SCHEMA``, whose wall-clock
+``seconds`` summed over a (chunk, predictor) group are the executor time of
+the model or of the trials; ``sample_reports`` reports the fidelity of the
+sampled prediction-error distribution. ``table2_metrics`` does all three in
+a single executor pass and emits one wide row per (chunk, predictor, error
+bound) holding the estimate, the measurement and the chunk's sample report
+(read from the model's own sample), so the Table II job deserializes each
+chunk once and needs no join: its Spark SQL is one ``groupBy``.
 
 Spark SQL starts here: each public function turns its RDD of row dicts into
 a DataFrame with one ``createDataFrame(rdd, schema)`` (``_to_dataframe``),
@@ -33,7 +33,7 @@ from ..analysis import value_range
 from ..compressor import pipeline
 from ..config import SSIM_NDIMS
 from ..core.model import RatioQualityModel
-from ..core.sampling import sample_error_report
+from ..core.sampling import sample_error_report, sample_fidelity
 from .chunks import per_chunk
 
 __all__ = [
@@ -64,19 +64,13 @@ METRIC_SCHEMA = T.StructType(
     ]
 )
 
+_KEYS = ("dataset", "field", "chunk_id", "predictor", "eb_rel")
+
 SAMPLE_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType(), False),
-        T.StructField("field", T.StringType(), False),
-        T.StructField("chunk_id", T.IntegerType(), False),
-        T.StructField("predictor", T.StringType(), False),
-        T.StructField("std_full", T.DoubleType(), False),
-        T.StructField("std_sample", T.DoubleType(), False),
-        T.StructField("sample_err", T.DoubleType(), False),
-    ]
+    [METRIC_SCHEMA[k] for k in _KEYS[:4]]
+    + [T.StructField(k, T.DoubleType(), False) for k in ("std_full", "std_sample", "sample_err")]
 )
 
-_KEYS = ("dataset", "field", "chunk_id", "predictor", "eb_rel")
 #: ``e_``/``m_`` column suffix -> metric of the estimate/measurement row
 _METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "psnr": "psnr", "ssim": "ssim"}
 
@@ -136,17 +130,19 @@ def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
 
 def _estimate_rows(
     row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], seed: int
-) -> Iterator[dict]:
-    """One chunk's model rows for ``predictor``, one per error bound, from
-    one ``curve`` sweep (``seconds`` as in ``estimate_metrics``)."""
+) -> tuple[RatioQualityModel, list[dict]]:
+    """One chunk's model for ``predictor`` and its rows, one per error bound,
+    from one ``curve`` sweep (``seconds`` as in ``estimate_metrics``)."""
     t0 = time.perf_counter()
     model = RatioQualityModel(arr, predictor, seed=seed)
     curve = model.curve(model.abs_bound(np.asarray(ebs_rel)))
     dt = time.perf_counter() - t0
+    rows = []
     for i, ebr in enumerate(ebs_rel):
         est = {k: v[i] for k, v in curve.items()}
         seconds = dt if i == 0 else 0.0
-        yield _metric_row(row, arr, predictor, "est", ebr, est["eb_abs"], est, seconds)
+        rows.append(_metric_row(row, arr, predictor, "est", ebr, est["eb_abs"], est, seconds))
+    return model, rows
 
 
 def _measure_rows(
@@ -162,17 +158,6 @@ def _measure_rows(
         m = pipeline.measure(arr, predictor, eb_abs, with_ssim=arr.ndim in SSIM_NDIMS)
         dt = time.perf_counter() - t0
         yield _metric_row(row, arr, predictor, "meas", ebr, eb_abs, m, dt)
-
-
-def _sample_row(row, arr: np.ndarray, predictor: str, rate: float, seed: int) -> dict:
-    """One chunk's Table II "Sample Err." report for ``predictor``."""
-    return dict(
-        dataset=row["dataset"],
-        field=row["field"],
-        chunk_id=int(row["chunk_id"]),
-        predictor=predictor,
-        **sample_error_report(arr, predictor, rate=rate, seed=seed),
-    )
 
 
 def estimate_metrics(
@@ -193,7 +178,7 @@ def estimate_metrics(
 
     def fn(row, arr):
         for p in preds:
-            yield from _estimate_rows(row, arr, p, ebs, seed)
+            yield from _estimate_rows(row, arr, p, ebs, seed)[1]
 
     return _to_dataframe(per_chunk(chunks, fn), METRIC_SCHEMA)
 
@@ -218,8 +203,12 @@ def sample_reports(
 ) -> DataFrame:
     """Table II "Sample Err." rows: fidelity of the sampled prediction-error
     distribution per chunk (std deviation relative to value range)."""
-    rows = per_chunk(chunks, lambda row, arr: [_sample_row(row, arr, predictor, rate, seed)])
-    return _to_dataframe(rows, SAMPLE_SCHEMA)
+
+    def fn(row, arr):
+        report = sample_error_report(arr, predictor, rate=rate, seed=seed)
+        return [{k: row[k] for k in _KEYS[:3]} | {"predictor": predictor} | report]
+
+    return _to_dataframe(per_chunk(chunks, fn), SAMPLE_SCHEMA)
 
 
 def table2_metrics(
@@ -232,16 +221,16 @@ def table2_metrics(
     one executor pass, as ``TABLE2_SCHEMA`` rows.
 
     Each row pairs the estimate and the measurement of one (chunk,
-    predictor, error bound) and repeats the chunk's ``sample_err``; the
-    model and the sample report share the 1% rate and ``seed``.
+    predictor, error bound) and repeats the chunk's ``sample_err``, read
+    from the model's own 1% sample (``sample_fidelity``).
     """
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
     def fn(row, arr):
         for p in preds:
-            sample_err = sample_error_report(arr, p, seed=seed)["sample_err"]
-            estimates = _estimate_rows(row, arr, p, ebs, seed)
+            model, estimates = _estimate_rows(row, arr, p, ebs, seed)
+            sample_err = sample_fidelity(arr, p, model)["sample_err"]
             for e, m in zip(estimates, _measure_rows(row, arr, p, ebs)):
                 out = {k: e[k] for k in _KEYS}
                 for col, metric in _METRICS.items():

@@ -25,7 +25,9 @@ Three methods, as in Fig. 14:
 * **model** — ours: each rank builds the ratio-quality model (1% sample)
   and inverts it for the same budget with ``quality_model.MSE_HEADROOM``,
   then compresses once. A constant rank (all-zero ahead of the wavefront)
-  has no bounds to search and takes ``sqrt(MSE_HEADROOM · budget)``.
+  has no bounds to search and takes ``sqrt(MSE_HEADROOM · budget)``. A
+  constant snapshot has no budget: both in-situ methods take the strictest
+  candidate.
 
 Every trial and every rank's row is judged by ``analysis.judge``; the
 snapshot PSNR recombines the ranks' MSE and extrema with
@@ -54,6 +56,7 @@ __all__ = [
     "dump_snapshot",
     "run_dump_study",
     "read_partition_file",
+    "snapshot_psnr",
     "offline_worstcase_abs_eb",
     "candidate_abs_ebs",
     "CANDIDATE_SCALES",
@@ -130,6 +133,8 @@ def dump_snapshot(
         t_opt = 0.0
         if method == "traditional":
             eb = traditional_abs_eb
+        elif mse_budget == 0:  # a constant snapshot: no error to spend
+            eb = cand[-1]
         elif method == "tae":
             t0 = time.perf_counter()
             eb = cand[-1]  # fallback: strictest candidate
@@ -187,6 +192,12 @@ def dump_snapshot(
 
     rows = per_chunk(chunks, fn).collect()
     return pd.DataFrame(rows).sort_values("chunk_id", ignore_index=True)
+
+
+def snapshot_psnr(pdf: pd.DataFrame) -> float:
+    """Snapshot PSNR recombined from a dump's rank MSEs and extrema."""
+    mse = float((pdf["mse"] * pdf["n_points"]).sum() / pdf["n_points"].sum())
+    return analysis.psnr_db(float(pdf["vmax"].max() - pdf["vmin"].min()), mse)
 
 
 def offline_worstcase_abs_eb(
@@ -257,9 +268,6 @@ def run_dump_study(
                 candidates_abs=cands,
                 io_bytes_per_second=io_bytes_per_second,
             )
-            # snapshot-level PSNR from per-rank pieces
-            mse = float((pdf["mse"] * pdf["n_points"]).sum() / pdf["n_points"].sum())
-            snap_psnr = analysis.psnr_db(float(pdf["vmax"].max() - pdf["vmin"].min()), mse)
             records.append(
                 dict(
                     t=int(t),
@@ -273,7 +281,7 @@ def run_dump_study(
                         + pdf["io_seconds"].max()
                     ),
                     nbytes=int(pdf["nbytes"].sum()),
-                    snapshot_psnr=snap_psnr,
+                    snapshot_psnr=snapshot_psnr(pdf),
                     raw_io_seconds=raw_io,
                     traditional_abs_eb=trad_abs,
                 )

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.compressor.quantizer import quantize
+from repro.compressor.quantizer import p0_of, quantize
 from repro.core import histogram as H
 
 
@@ -15,9 +15,9 @@ def test_code_histogram_weighted():
 
 
 def test_p0_of():
-    assert H.p0_of(np.array([-1, 0, 1]), np.array([1.0, 8.0, 1.0])) == 0.8
-    assert H.p0_of(np.array([1, 2]), np.array([1.0, 1.0])) == 0.0
-    assert H.p0_of(np.array([], np.int64), np.array([])) == 0.0
+    assert p0_of(np.array([-1, 0, 1]), np.array([1.0, 8.0, 1.0])) == 0.8
+    assert p0_of(np.array([1, 2]), np.array([1.0, 1.0])) == 0.0
+    assert p0_of(np.array([], np.int64), np.array([])) == 0.0
 
 
 def test_phase_smear_conserves_mass():
@@ -46,9 +46,9 @@ def test_phase_smear_reduces_p0_at_saturation():
     errs = np.full(100, 0.9)  # |f| = 0.45 at eb=1 (bin width 2)
     wts = np.ones(100)
     s_raw, c_raw = H.phase_smear(errs, wts, 1.0, alpha=0.0)
-    assert H.p0_of(s_raw, c_raw) == 1.0
+    assert p0_of(s_raw, c_raw) == 1.0
     s_sm, c_sm = H.phase_smear(errs, wts, 1.0, alpha=1.0)
-    assert H.p0_of(s_sm, c_sm) == pytest.approx(0.55)
+    assert p0_of(s_sm, c_sm) == pytest.approx(0.55)
 
 
 def test_phase_alpha_table():

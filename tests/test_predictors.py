@@ -1,5 +1,7 @@
 """Tests for the three SZ predictors (§III-D): error-bound guarantees,
 round-trips, sampling strategies, and the Lorenzo lattice identity."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.compressor.predictors import (
     Regression,
     _anchor_stride,
     _interp_groups,
+    draw_sample,
     get_predictor,
 )
 
@@ -81,6 +84,35 @@ def test_sampling_deterministic(pred):
     a = p.sample_errors(d, 0.02, seed=3)
     b = p.sample_errors(d, 0.02, seed=3)
     np.testing.assert_array_equal(a.errors, b.errors)
+
+
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize("shape", [(1,), (37,), (1, 9), (13, 21), (7, 1, 13), (2, 3, 10, 11)])
+@pytest.mark.parametrize("rate", [0.01, 0.3, 1.0])
+def test_sample_is_prediction_errors_at_drawn_items(pred, shape, rate):
+    """One stratified walk: stratum by stratum, the sample is the full
+    prediction-error field gathered at ``draw_sample``'s indices (one RNG,
+    strata in order), weighted n/m and tagged with the stratum id; at rate
+    1 every stratum is a permutation of its items."""
+    d = _rand(shape, seed=4)
+    p = get_predictor(pred)
+    s = p.sample_errors(d, rate, seed=5)
+    full = p.prediction_errors(d)
+    assert full.size == p.coded_count(shape)
+    per_item = math.prod(p._block_shape(d.ndim)) if pred == "regression" else 1
+    rng = np.random.default_rng(5)
+    start = 0
+    for gid, (n, _) in enumerate(p._strata(d)):
+        items = full[start : start + n * per_item].reshape(n, per_item)
+        start += n * per_item
+        idx, w = draw_sample(n, rate, rng)
+        if rate == 1.0:
+            np.testing.assert_array_equal(np.sort(idx), np.arange(n))
+        m = s.group_ids == gid
+        np.testing.assert_array_equal(s.errors[m], items[idx].ravel())
+        np.testing.assert_array_equal(s.weights[m], w)
+    assert start == full.size
+    assert s.group_ids.size == s.errors.size == s.weights.size
 
 
 def test_unknown_predictor():

@@ -223,7 +223,7 @@ def test_table2_metrics_matches_separate_passes(spark, chunks_rdd):
     """The fused Table II pass emits one row per (chunk, predictor, bound):
     ``e_*`` from the model pass, ``m_*`` from the compressor pass (a 1D
     chunk's unmeasured SSIM read as null) and the chunk's sample report."""
-    preds, ebs = ["lorenzo", "interp"], [1e-3, 1e-2]
+    preds, ebs = ["lorenzo", "interp", "regression"], [1e-3, 1e-2]
     brown = sci_data.generate("Brown", "pressure", "test")
     chunks = chunks_rdd.union(layout_chunks(spark, chunk_rows("Brown", "pressure", brown, 2)))
     wide = table2_metrics(chunks, preds, ebs, seed=1).toPandas()

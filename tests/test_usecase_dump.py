@@ -14,6 +14,7 @@ from repro.usecases.data_dump import (
     offline_worstcase_abs_eb,
     read_partition_file,
     run_dump_study,
+    snapshot_psnr,
 )
 
 SHAPE = (8, 24, 24)
@@ -133,6 +134,23 @@ def test_dump_constant_rank(spark, outdir, method):
         rec = read_partition_file(os.path.join(outdir, f"t3000_{method}_p{cid}.bin"))
         orig = np.asarray(d[2 * cid : 2 * cid + 2], np.float64)
         assert np.max(np.abs(rec - orig)) <= r["eb_abs"]
+
+
+@pytest.mark.parametrize("fill", [0.0, 3.0])
+@pytest.mark.parametrize("method", ["tae", "model"])
+def test_dump_constant_snapshot(spark, outdir, method, fill):
+    """A wholly constant snapshot has a zero MSE budget; both in-situ
+    methods still dump it (the strictest candidate), every rank reads back
+    within its bound, and the snapshot's PSNR is inf."""
+    d = np.full(SHAPE, fill)
+    t = 4000 + int(fill)
+    cands = _cands(rtm_snapshot(3000, SHAPE))
+    pdf = dump_snapshot(spark, d, t, outdir, method, cands, target_psnr_db=TARGET, n_partitions=4)
+    for _, r in pdf.iterrows():
+        cid = int(r["chunk_id"])
+        rec = read_partition_file(os.path.join(outdir, f"t{t}_{method}_p{cid}.bin"))
+        assert np.max(np.abs(rec - d[2 * cid : 2 * cid + 2])) <= r["eb_abs"]
+    assert snapshot_psnr(pdf) == np.inf
 
 
 def test_dump_model_optimization_cheaper_than_tae(spark, outdir):
