@@ -23,7 +23,7 @@ def vrange(rtm):
 @pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
 def test_model_build(benchmark, rtm, pred):
     """One-time 1% sampling pass (the model's only data-dependent cost)."""
-    benchmark(RatioQualityModel, rtm, pred, 0.01, 7)
+    benchmark(RatioQualityModel, rtm, pred, 0.01, seed=7)
 
 
 def test_model_estimate_sweep(benchmark, rtm, vrange):

@@ -32,9 +32,10 @@ class RatioQualityModel:
     def __init__(
         self,
         data: np.ndarray,
-        predictor: str = "lorenzo",
+        predictor: str,
         sample_rate: float = 0.01,
-        seed: int = 0,
+        *,
+        seed: int,
     ):
         check_field(data)
         pred = get_predictor(predictor)
@@ -102,26 +103,34 @@ class RatioQualityModel:
         return {k: np.array([e[k] for e in est]) for k in est[0]}
 
     # ------------------------------------------------------------------
-    def error_bound_for_bitrate(self, target_bits_per_point: float) -> float:
-        """Invert the model: error bound whose estimated Huffman + lossless
-        bit-rate meets a target (fix-rate mode, use-case 2). Pure model
-        evaluations — no compression. Raises ``ValueError`` for a constant
-        field, as every inversion does."""
+    def _search(self, holds) -> tuple[float, float]:
+        """The one search of every inversion: ``holds(eb)`` is true at small
+        bounds. On [range·1e-9, range] it returns ``(top, top)`` if ``holds``
+        is true at the top, ``(bottom, bottom)`` if it is false at the
+        bottom, and ``log_bisect``'s ``(lo, hi)`` otherwise. Raises
+        ``ValueError`` for a constant field: with no value range there is
+        no range of bounds to search (its PSNR is inf at every bound)."""
+        lo, hi = self._bracket()
+        if holds(hi):
+            return hi, hi
+        if not holds(lo):
+            return lo, lo
+        return ratio_model.log_bisect(holds, lo, hi)
 
-        def est(eb):
-            return self.estimate(eb)["bitrate_ll"]
-
-        lo, hi = self._bracket(1e-8)
-        return ratio_model.invert_bitrate(est, target_bits_per_point, lo, hi)
-
-    def _bracket(self, lo_rel: float) -> tuple[float, float]:
-        """The inversions' search range [range·lo_rel, range]. Raises
-        ``ValueError`` for a constant field: with no value range there is no
-        range of bounds to search (its PSNR is inf at every bound)."""
+    def _bracket(self) -> tuple[float, float]:
+        """The inversions' search range [range·1e-9, range]."""
         if self.value_range == 0:
             raise ValueError("constant field: value range is 0, no error-bound range to search")
-        lo = max(self.value_range * lo_rel, np.finfo(np.float64).tiny)
+        lo = max(self.value_range * 1e-9, np.finfo(np.float64).tiny)
         return lo, max(self.value_range, lo * 10)
+
+    def error_bound_for_bitrate(self, target_bits_per_point: float) -> float:
+        """Invert the model: error bound whose estimated Huffman + lossless
+        bit-rate meets a target (fix-rate mode, use-case 2), the upper end
+        of ``_search``'s bracket. Pure model evaluations — no compression.
+        Raises ``ValueError`` for a constant field, as every inversion
+        does."""
+        return self._search(lambda eb: self.estimate(eb)["bitrate_ll"] > target_bits_per_point)[1]
 
     def error_bound_for_psnr(self, target_psnr_db: float) -> float:
         """Invert the quality model: largest error bound whose estimated
@@ -133,20 +142,24 @@ class RatioQualityModel:
 
     def error_bound_for_mse(self, target_mse: float) -> float:
         """Largest error bound whose estimated error variance stays at or
-        below ``target_mse``: ``ratio_model.log_bisect`` on [range·1e-9,
-        range], pure model evaluations on the sample — no compression.
-        Lorenzo's lattice variance is not monotone at that scale, so there
-        the result is a bound where the budget check flips, not always the
-        largest one. A PSNR floor set against a *global* peak (a
-        snapshot-level floor while this model sees one rank's partition)
-        comes in through ``quality_model.mse_budget`` on the global range."""
-        ok = lambda eb: self._sigma_e2(eb) <= target_mse  # noqa: E731
-        lo, hi = self._bracket(1e-9)
-        if ok(hi):
-            return hi
-        if not ok(lo):
-            return lo
-        return ratio_model.log_bisect(ok, lo, hi)[0]
+        below ``target_mse``, searched below the first bound of a fixed grid
+        (4 per decade over the range, 37 points) whose variance misses it:
+        the lower end of ``_search``'s bracket, pure model evaluations on the
+        sample — no compression. The cap is there because the estimated σ²
+        is not monotone in the bound: Lorenzo's lattice variance can cross
+        the budget more than once, and interp's dips near the top of the
+        range, where every sample counts as quiet. A PSNR floor set against
+        a *global* peak (a snapshot-level floor while this model sees one
+        rank's partition) comes in through ``quality_model.mse_budget`` on
+        the global range."""
+
+        def ok(eb):
+            # every σ² estimate is at most eb² (each error lies within ±eb),
+            # so a bound with 2·eb² within the budget meets it unevaluated
+            return 2.0 * eb * eb <= target_mse or self._sigma_e2(eb) <= target_mse
+
+        cap = next((eb for eb in np.geomspace(*self._bracket(), 37) if not ok(eb)), np.inf)
+        return self._search(lambda eb: eb < cap and ok(eb))[0]
 
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the

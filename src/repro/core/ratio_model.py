@@ -1,16 +1,16 @@
 """Compression-ratio model (§III-C): Huffman efficiency, RLE/lossless
-efficiency, and the error-bound ↔ bit-rate inversion.
+efficiency, and the monotone search that inverts the model.
 
 * Eq. (1): Huffman bit-rate ≈ code-histogram entropy, with the most frequent
   code's length clamped to the 1-bit minimum.
 * Eq. (4): extra ratio of the optional lossless stage modelled as RLE on
   zero runs, ``R = 1/(C1(1-p0)P0 + (1-P0))`` with ``P0 = p0·l0/B``.
 * Eq. (2): ``e* = 2^(B-B*)·e`` — every doubling of the error bound costs
-  ~1 bit — applied as a (rapidly converging) fixed point on the model,
-  finished by ``log_bisect`` in the low-bit-rate regime where Eq. (3)'s
-  approximation breaks (the paper switches to profiled p0 anchors there,
-  Eq. 8; we solve the same profiled relation numerically, which is robust
-  to the paper's C1-unit ambiguity in Eq. 8).
+  ~1 bit — is the relation the paper states between bound and bit-rate.
+  It fails in the low-bit-rate regime where Eq. (3)'s approximation breaks
+  (the paper switches to profiled p0 anchors there, Eq. 8), so the model is
+  inverted numerically instead: ``log_bisect`` on the estimated bit-rate,
+  which is robust to the paper's C1-unit ambiguity in Eq. 8.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ __all__ = [
     "huffman_bitrate",
     "rle_ratio",
     "lossless_bitrate",
-    "invert_bitrate",
     "log_bisect",
     "MODEL_C1_BITS",
     "MODEL_RMAX",
@@ -33,10 +32,6 @@ __all__ = [
 #: achievable extra ratio at p0 → 1).
 MODEL_C1_BITS = 5.0
 MODEL_RMAX = 2048.0
-
-#: ``invert_bitrate``'s Eq. (2) steps stop within this many bits/point of
-#: the target.
-_INVERT_TOL_BITS = 1e-3
 
 
 def huffman_bitrate(counts: np.ndarray) -> float:
@@ -90,35 +85,3 @@ def log_bisect(ok, lo: float, hi: float) -> tuple[float, float]:
             break
     return lo, hi
 
-
-def invert_bitrate(est_fn, target: float, eb_lo: float, eb_hi: float) -> float:
-    """Find the error bound whose estimated bit-rate equals ``target``.
-
-    ``est_fn(eb) -> bits/point`` must be (weakly) decreasing in ``eb``.
-    Starts with Eq. (2) fixed-point steps (`e ← e·2^(B(e)-B*)`), each
-    narrowing the bracket [eb_lo, eb_hi]; ``log_bisect`` finishes on what
-    is left (the flat low-bit-rate / RLE regime) and the bracket's upper
-    end is returned. All of it is model evaluations on the 1% sample (the
-    whole point of the model vs trial-and-error); the Eq. (2) steps save
-    estimates over bisecting from the start (DESIGN.md §2, RLE bullet).
-    """
-    lo, hi = float(eb_lo), float(eb_hi)
-    e = float(np.sqrt(lo * hi))
-    for _ in range(8):  # Eq. (2) phase
-        b = est_fn(e)
-        if abs(b - target) < _INVERT_TOL_BITS:
-            return e
-        if b > target:
-            lo = e
-        else:
-            hi = e
-        e = float(e * 2.0 ** np.clip(b - target, -8.0, 8.0))
-        if not lo < e < hi:
-            break
-    # an end no estimate has narrowed is unchecked: clamp to it when the
-    # target lies beyond its bit-rate
-    if lo == eb_lo and est_fn(lo) <= target:
-        return lo
-    if hi == eb_hi and est_fn(hi) > target:
-        return hi
-    return log_bisect(lambda eb: est_fn(eb) > target, lo, hi)[1]

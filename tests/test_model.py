@@ -99,6 +99,48 @@ def test_error_bound_for_mse_brackets_target(field_data, pred):
     assert m._sigma_e2(eb * 1.001) > target
 
 
+def _stub_bitrate(field_data, bitrate):
+    """A model whose ``estimate`` reads its bit-rate off ``bitrate(eb)``."""
+    m = RatioQualityModel(field_data[("CESM", "TS")], "lorenzo", seed=0)
+    m.estimate = lambda eb: {"bitrate_ll": bitrate(eb)}
+    return m
+
+
+def test_error_bound_for_bitrate_on_synthetic_curve(field_data):
+    """Inverting B(e) = 8 - log2(e/e0) (the Eq. 2 regime) lands on the
+    target."""
+    e0 = 1e-4
+
+    def bitrate(e):
+        return 8.0 - np.log2(e / e0)
+
+    m = _stub_bitrate(field_data, bitrate)
+    assert bitrate(m.error_bound_for_bitrate(5.0)) == pytest.approx(5.0, abs=0.01)
+
+
+def test_error_bound_for_bitrate_clamps_to_range(field_data):
+    """A target beyond the bit-rate at an end of [range·1e-9, range]
+    returns that end."""
+    m = _stub_bitrate(field_data, lambda e: 4.0)
+    assert m.error_bound_for_bitrate(10.0) == m.value_range * 1e-9
+    assert m.error_bound_for_bitrate(1.0) == m.value_range
+
+
+@pytest.mark.parametrize(
+    "dataset, field, target",
+    [("SCALE", "PRES", 30.0), ("HACC", "xx", 30.0), ("HACC", "xx", 40.0), ("Hurricane", "TC", 30.0)],
+)
+def test_error_bound_for_psnr_not_fooled_by_sigma_dip(dataset, field, target):
+    """Interp's estimated σ² dips near the top of the bound range; the PSNR
+    inversion must not jump to the range there, and the bound it returns
+    meets the floor when measured (within 0.5 dB)."""
+    d = sci_data.generate(dataset, field, "test")
+    m = RatioQualityModel(d, "interp", seed=7)
+    eb = m.error_bound_for_psnr(target)
+    assert eb < m.value_range
+    assert pipeline.measure(d, "interp", eb, with_ssim=False)["psnr"] >= target - 0.5
+
+
 @pytest.mark.parametrize("pred", PREDS)
 def test_error_bound_for_psnr_is_mse_inversion_of_its_budget(field_data, pred):
     """The PSNR inversion is the MSE inversion at the PSNR floor's budget on
@@ -188,7 +230,7 @@ def test_phase_correction_beats_none_at_high_eb(field_data, monkeypatch):
 def test_estimate_on_constant_field(pred, value):
     """A constant field has no error and no variance: the model reports
     infinite PSNR and SSIM 1 instead of dividing 0 by 0."""
-    m = RatioQualityModel(np.full((12, 24, 24), value), pred)
+    m = RatioQualityModel(np.full((12, 24, 24), value), pred, seed=0)
     est = m.estimate(0.1)
     assert est["sigma_e2"] == 0.0
     assert est["psnr"] == float("inf")
@@ -205,7 +247,7 @@ def test_measure_and_estimate_agree_on_constant_field(pred, value, eb, exact):
     PSNR = inf and SSIM = 1, with no 0/0 or log10(0) on the way."""
     d = np.full((8, 8, 8), value)
     meas = pipeline.measure(d, pred, eb)
-    est = RatioQualityModel(d, pred).estimate(eb)
+    est = RatioQualityModel(d, pred, seed=0).estimate(eb)
     assert (meas["max_err"] == 0.0) == exact
     assert meas["max_err"] <= eb
     assert meas["psnr"] == est["psnr"] == float("inf")
@@ -221,7 +263,7 @@ def test_inversions_reject_constant_field(pred, invert, target):
     """A constant field has no value range to search error bounds in: each
     inversion raises a clear error instead of returning a denormal bound or
     failing inside the search."""
-    m = RatioQualityModel(np.full((8, 8), 2.0), pred)
+    m = RatioQualityModel(np.full((8, 8), 2.0), pred, seed=0)
     with pytest.raises(ValueError, match="constant field"):
         getattr(m, invert)(target)
 

@@ -13,7 +13,7 @@ PREDICTORS = ["lorenzo", "interp", "regression"]
 #: The two entry points that take a field: the compressor and the model.
 ENTRY_POINTS = {
     "compress": lambda d, predictor: pipeline.compress(d, predictor, 1e-3),
-    "model": lambda d, predictor: RatioQualityModel(d, predictor),
+    "model": lambda d, predictor: RatioQualityModel(d, predictor, seed=0),
 }
 
 

@@ -65,20 +65,6 @@ def test_lossless_bitrate_divides():
     assert R.lossless_bitrate(b, p0) == pytest.approx(b / R.rle_ratio(p0, b))
 
 
-def test_invert_bitrate_on_synthetic_curve():
-    """Invert B(e) = 8 - log2(e/e0) exactly (the Eq. 2 regime)."""
-    e0 = 1e-4
-    est = lambda e: 8.0 - np.log2(e / e0)  # noqa: E731
-    e = R.invert_bitrate(est, target=5.0, eb_lo=1e-6, eb_hi=1.0)
-    assert est(e) == pytest.approx(5.0, abs=0.01)
-
-
-def test_invert_bitrate_clamps_to_range():
-    est = lambda e: 4.0  # noqa: E731  (flat curve)
-    assert R.invert_bitrate(est, 10.0, 1e-5, 1e-1) == pytest.approx(1e-5)
-    assert R.invert_bitrate(est, 1.0, 1e-5, 1e-1) == pytest.approx(1e-1)
-
-
 @given(st.floats(1e-9, 1.0, exclude_max=True))
 def test_log_bisect_brackets_monotone_threshold(thr):
     """The shared search keeps ok(lo), not ok(hi), and stops at a 0.1%
