@@ -1,5 +1,9 @@
 """Benchmarks behind Table II: the model's one-time sampling + per-bound
-estimation vs the measured (trial) pass it replaces, at bench scale."""
+estimation vs the measured (trial) pass it replaces, at bench scale, and
+one whole test-scale pass of the Table II job in Spark."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,3 +50,17 @@ def test_model_invert_bitrate(benchmark, rtm):
 def test_model_invert_psnr(benchmark, rtm):
     m = RatioQualityModel(rtm, "lorenzo", seed=7)
     benchmark(m.error_bound_for_psnr, 56.0)
+
+
+def test_table2_job_pass(benchmark, spark, monkeypatch):
+    """One test-scale ``jobs/table2_accuracy.main`` (17 fields x 4 chunks,
+    Lorenzo, 7 bounds) with its CSV sink stubbed: the executor pass plus
+    the Eq. 20 aggregation, after one warm-up call."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
+    import table2_accuracy
+
+    monkeypatch.setattr(table2_accuracy, "emit", lambda name, pdf, float_fmt="%.4g": None)
+    out = benchmark.pedantic(
+        table2_accuracy.main, args=(spark, "test"), rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert len(out) == len(sci_data.FIELDS) + 1

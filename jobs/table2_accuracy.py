@@ -2,10 +2,10 @@
 
 For every field: chunk it (Spark), then run the model (executor-side, 1%
 sample), the real compressor across the 7-error-bound sweep and the sample
-report in one executor pass over the chunks (``table2_metrics``), one row
-per chunk and error bound with the estimate next to the measurement. One
-Spark SQL ``groupBy`` (``table2_errors``) then computes the paper's Eq. 20
-error per column:
+report in one executor pass over the chunks (``table2_metrics``: one Spark
+job of one stage), collected as one row per chunk and error bound with the
+estimate next to the measurement. ``table2_errors`` then computes the
+paper's Eq. 20 error per column on the driver, in pandas:
 
   Sample Err. | Huff Err. | Lossless Err. | Huff+LL Err. | PSNR Err. | SSIM Err.
 
@@ -23,8 +23,7 @@ import argparse
 import numpy as np
 import pandas as pd
 from pyspark import RDD
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro import analysis, sci_data
 from repro.config import EB_SWEEP_REL
@@ -57,34 +56,40 @@ def build_corpus(spark: SparkSession, scale: str) -> RDD:
     return layout_chunks(spark, rows)
 
 
-def _eq20(ratio: F.Column, name: str) -> F.Column:
-    """Eq. 20 over one measured/estimated ratio: 1 - 1/(1 + stddev_pop(r - 1))."""
-    return (1.0 - 1.0 / (1.0 + F.stddev_pop(ratio - 1.0))).alias(name)
+def _eq20(ratio: pd.Series) -> float:
+    """Eq. 20 over one group's measured/estimated ratios:
+    1 - 1/(1 + std(r - 1)), with the population std (``stddev_pop``). A NaN
+    ratio makes the group's error NaN; ``Series.std`` would skip it."""
+    return 1.0 - 1.0 / (1.0 + np.std(ratio.to_numpy() - 1.0))
 
 
-def table2_errors(rows: DataFrame) -> DataFrame:
+def table2_errors(rows: pd.DataFrame) -> pd.DataFrame:
     """Per-field Table II errors from ``table2_metrics`` rows: the mean
     sample error and Eq. 20 over each measured/estimated ratio. SSIM ratios
-    are null where ``m_ssim`` is, so 1D/4D fields get null SSIM errors."""
-    c = F.col
-    return rows.groupBy("dataset", "field").agg(
-        F.avg("sample_err").alias("sample_err"),
-        _eq20(c("m_huff") / c("e_huff"), "huff_err"),
+    are NaN where ``m_ssim`` is, so 1D/4D fields get NaN SSIM errors."""
+    m = {c: rows[f"m_{c}"] for c in ("huff", "ll", "psnr", "ssim")}
+    e = {c: rows[f"e_{c}"] for c in ("huff", "ll", "psnr", "ssim")}
+    ratios = {
+        "huff_err": m["huff"] / e["huff"],
         # "Lossless": the *extra* ratio contributed by the lossless stage
-        _eq20((c("m_huff") / c("m_ll")) / (c("e_huff") / c("e_ll")), "lossless_err"),
-        _eq20(c("m_ll") / c("e_ll"), "huff_ll_err"),
-        _eq20(c("m_psnr") / c("e_psnr"), "psnr_err"),
-        _eq20(c("m_ssim") / c("e_ssim"), "ssim_err"),
+        "lossless_err": (m["huff"] / m["ll"]) / (e["huff"] / e["ll"]),
+        "huff_ll_err": m["ll"] / e["ll"],
+        "psnr_err": m["psnr"] / e["psnr"],
+        "ssim_err": m["ssim"] / e["ssim"],
         # supplemental, stricter view: ratios of the SSIM *distortion*
         # (1-SSIM), the quantity Fig. 7 plots in log scale
-        _eq20((1.0 - c("m_ssim")) / (1.0 - c("e_ssim")), "ssim_dist_err"),
+        "ssim_dist_err": (1.0 - m["ssim"]) / (1.0 - e["ssim"]),
+    }
+    groups = pd.DataFrame({"sample_err": rows["sample_err"], **ratios}).groupby(
+        [rows["dataset"], rows["field"]], sort=False
     )
+    return groups.agg({"sample_err": "mean", **{c: _eq20 for c in ratios}}).reset_index()
 
 
 def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") -> pd.DataFrame:
     rows = table2_metrics(build_corpus(spark, scale), [predictor], EB_SWEEP_REL, seed=7)
     order = [(s.dataset, s.field) for s in sci_data.FIELDS]
-    out = table2_errors(rows).toPandas().set_index(["dataset", "field"]).loc[order].reset_index()
+    out = table2_errors(rows).set_index(["dataset", "field"]).loc[order].reset_index()
     avg = out.mean(numeric_only=True).to_frame().T
     avg.insert(0, "dataset", "Average")
     avg.insert(1, "field", "-")

@@ -7,9 +7,10 @@ decompress path uses, and ``quantize`` also bins the model's sampled
 histogram (``core.histogram.phase_smear``). ``check_bound`` rejects
 ``eb <= 0``, for which no error-bounded encoding exists; ``quantize`` (and so
 every ``compress``) and the ratio-quality model's estimates share it.
-``check_field`` rejects an empty field or one holding NaN or ±inf, for which
-neither the bound nor the value range is defined; ``compress`` and the
-model's constructor share it.
+``check_field`` rejects a field whose dtype is not real numeric (complex,
+object, string, ...), whose values ``|x − x'| ≤ eb`` cannot bound, and an
+empty field or one holding NaN or ±inf, for which neither the bound nor the
+value range is defined; ``compress`` and the model's constructor share it.
 """
 from __future__ import annotations
 
@@ -25,7 +26,10 @@ def check_bound(eb: float) -> None:
 
 
 def check_field(data: np.ndarray) -> None:
-    """Raise ``ValueError`` for an empty field or one holding NaN or ±inf."""
+    """Raise ``ValueError`` for a field that is not real numeric (bool, int,
+    uint or float), is empty, or holds NaN or ±inf."""
+    if data.dtype.kind not in "biuf":
+        raise ValueError(f"field dtype {data.dtype} is not real numeric")
     if data.size == 0:
         raise ValueError("field is empty")
     if not np.isfinite(data).all():

@@ -8,14 +8,14 @@ shuffle in one partition per core (``chunks.layout_chunks``). Per-chunk work
 the sample's fidelity, dumping a partition — executes inside Spark executors
 through the one RDD ``mapPartitions`` wrapper ``chunks.per_chunk``, which
 also ends each task by dropping the worker's cached ``pyspark.zip`` finders
-so that the worker's next task starts without re-reading the archive. The
-metric rows enter Spark SQL as DataFrames (``model_udf``); the dump collects
-its rows straight into pandas. ``table2_metrics`` runs the
-model, the compressor and the sample report in one pass over the chunks and
-emits one wide row per (chunk, predictor, error bound) with the estimate and
-the measurement side by side, so the Table II job deserializes each chunk
-once; its aggregation to per-field Table II rows is one Spark SQL
-``groupBy``, checked against the DuckDB oracle in tests.
+so that the worker's next task starts without re-reading the archive. No
+job's rows enter Spark SQL: the dump and ``table2_metrics`` collect theirs
+straight into pandas. ``table2_metrics`` runs the model, the compressor and
+the sample report in one pass over the chunks (one Spark job of one stage)
+and returns one wide row per (chunk, predictor, error bound) with the
+estimate and the measurement side by side, so the Table II job
+deserializes each chunk once; its aggregation to per-field Table II rows is
+pandas on the driver, checked against the DuckDB oracle in tests.
 """
 from .chunks import chunk_to_array  # noqa: F401
 from .model_udf import (  # noqa: F401

@@ -5,24 +5,26 @@ Two module-level functions turn one chunk and one predictor into rows:
 ``_estimate_rows`` builds the paper's model (one-time 1% sample, then one
 ``curve`` sweep over the error bounds) and ``_measure_rows`` runs the real
 SZ3-lite compressor (the trial-and-error unit of work) and measures ratio +
-post-hoc quality. ``estimate_metrics`` and ``measure_metrics`` each run one
-of them over every chunk and share ``METRIC_SCHEMA``, whose wall-clock
-``seconds`` summed over a (chunk, predictor) group are the executor time of
-the model or of the trials; ``sample_reports`` reports the fidelity of the
-sampled prediction-error distribution. ``table2_metrics`` does all three in
-a single executor pass and emits one wide row per (chunk, predictor, error
-bound) holding the estimate, the measurement and the chunk's sample report
-(read from the model's own sample), so the Table II job deserializes each
-chunk once and needs no join: its Spark SQL is one ``groupBy``.
+post-hoc quality. ``table2_metrics`` runs both and the chunk's sample report
+(read from the model's own sample) in a single executor pass, one Spark job
+of one stage, and collects one wide row per (chunk, predictor, error bound)
+into a pandas frame: the estimate and the measurement side by side, so the
+Table II job deserializes each chunk once, needs no join and aggregates on
+the driver.
 
-Spark SQL starts here: each public function turns its RDD of row dicts into
-a DataFrame with one ``createDataFrame(rdd, schema)`` (``_to_dataframe``),
-after converting every value to the schema's Python type.
+``estimate_metrics``, ``measure_metrics`` and ``sample_reports`` each run one
+of those streams on its own and return a Spark DataFrame (``METRIC_SCHEMA``,
+``SAMPLE_SCHEMA``) through one ``createDataFrame(rdd, schema)``
+(``_to_dataframe``), after converting every value to the schema's Python
+type. ``METRIC_SCHEMA``'s wall-clock ``seconds`` summed over a (chunk,
+predictor) group are the executor time of the model or of the trials. No
+job calls these three; the benchmark's traced Table II pass times each
+stream with them.
 """
 from __future__ import annotations
 
 import time
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 from pyspark import RDD
@@ -36,9 +38,11 @@ from ..core.model import RatioQualityModel
 from ..core.sampling import sample_error_report, sample_fidelity
 from .chunks import per_chunk
 
+if TYPE_CHECKING:
+    import pandas as pd
+
 __all__ = [
     "METRIC_SCHEMA",
-    "TABLE2_SCHEMA",
     "estimate_metrics",
     "measure_metrics",
     "sample_reports",
@@ -74,19 +78,14 @@ SAMPLE_SCHEMA = T.StructType(
 #: ``e_``/``m_`` column suffix -> metric of the estimate/measurement row
 _METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "psnr": "psnr", "ssim": "ssim"}
 
-#: One Table II row per (chunk, predictor, error bound): the model's estimate
-#: (``e_*``) and the compressor's measurement (``m_*``) side by side, plus the
-#: chunk's sample report. ``m_ssim`` is null where SSIM is not measured
-#: (1D/4D chunks: ``_to_dataframe`` turns the NaN into a null).
-TABLE2_SCHEMA = T.StructType(
-    [METRIC_SCHEMA[k] for k in _KEYS]
-    + [
-        T.StructField(f"{side}_{col}", T.DoubleType(), f"{side}_{col}" == "m_ssim")
-        for side in "em"
-        for col in _METRICS
-    ]
-    + [SAMPLE_SCHEMA["sample_err"]]
-)
+#: Columns of a ``table2_metrics`` row: the keys, the model's estimate
+#: (``e_*``) and the compressor's measurement (``m_*``), then the chunk's
+#: sample report.
+_TABLE2_COLUMNS = [
+    *_KEYS,
+    *(f"{side}_{col}" for side in "em" for col in _METRICS),
+    "sample_err",
+]
 
 
 _PY_TYPES = {T.StringType: str, T.IntegerType: int, T.LongType: int, T.DoubleType: float}
@@ -216,14 +215,20 @@ def table2_metrics(
     predictors: Sequence[str],
     ebs_rel: Sequence[float],
     seed: int = 0,
-) -> DataFrame:
+) -> pd.DataFrame:
     """``estimate_metrics``, ``measure_metrics`` and ``sample_reports`` in
-    one executor pass, as ``TABLE2_SCHEMA`` rows.
+    one executor pass, collected as one pandas frame.
 
     Each row pairs the estimate and the measurement of one (chunk,
     predictor, error bound) and repeats the chunk's ``sample_err``, read
-    from the model's own 1% sample (``sample_fidelity``).
+    from the model's own 1% sample (``sample_fidelity``). ``m_ssim`` is NaN
+    where SSIM is not measured (1D/4D chunks).
     """
+    # Imported here, not with the module: every Python worker imports this
+    # module (``per_chunk`` lives in this package), and pandas would add
+    # ~0.4 s to each newly forked worker's first task.
+    import pandas as pd
+
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
@@ -237,4 +242,4 @@ def table2_metrics(
                     out[f"e_{col}"], out[f"m_{col}"] = e[metric], m[metric]
                 yield out | {"sample_err": sample_err}
 
-    return _to_dataframe(per_chunk(chunks, fn), TABLE2_SCHEMA)
+    return pd.DataFrame(per_chunk(chunks, fn).collect(), columns=_TABLE2_COLUMNS)

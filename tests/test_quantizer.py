@@ -84,3 +84,25 @@ def test_non_finite_field_raises(entry, predictor, bad):
 def test_empty_field_raises(entry, predictor):
     with pytest.raises(ValueError, match="empty"):
         ENTRY_POINTS[entry](np.zeros((0, 4), np.float32), predictor)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_complex_field_raises(entry, predictor):
+    """A complex field would lose its imaginary part, so ``|x − x'| ≤ eb``
+    could not hold; it is refused, not cast with a ``ComplexWarning``."""
+    d = np.random.default_rng(0).normal(size=(8, 12, 12)) * (1 + 1j)
+    with pytest.raises(ValueError, match="not real numeric"):
+        ENTRY_POINTS[entry](d, predictor)
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+@pytest.mark.parametrize("dtype", ["int32", "uint8", "bool", "float16"])
+@pytest.mark.parametrize("eb", [0.3, 2.0])
+def test_integer_bool_and_half_fields_round_trip_within_bound(predictor, dtype, eb):
+    """Real numeric fields other than float32/float64 compress as their
+    float64 values, within the bound."""
+    rng = np.random.default_rng(0)
+    d = (rng.normal(size=(8, 12, 12)) * 40 + 100).astype(dtype)
+    rec = pipeline.decompress(pipeline.compress(d, predictor, eb))
+    assert np.abs(rec - d.astype(np.float64)).max() <= eb * (1 + 1e-9)

@@ -1,12 +1,16 @@
 """End-to-end run of the Table II job (jobs/table2_accuracy.py) at test
 scale: its chunk corpus layout, its Eq. 20 aggregation against the DuckDB
-oracle and its output against the committed table."""
+oracle and Spark's NaN rule, the Spark work of one run and its output
+against the committed table."""
 import math
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import SparkSession
 
 from repro import sci_data
 from repro.config import EB_SWEEP_REL
@@ -39,12 +43,12 @@ def eq20(ratio: str) -> str:
 
 
 def test_table2_errors_vs_oracle(spark):
-    """The job's one groupBy over the wide rows, checked against DuckDB.
-    DuckDB reads the rows' NaN SSIM (null in Spark) as NULL, so 1D/4D
-    fields get a NULL SSIM error on both sides."""
+    """The job's Eq. 20 aggregation over the wide rows, checked against
+    DuckDB. DuckDB reads the rows' NaN SSIM as NULL, so 1D/4D fields get a
+    NULL SSIM error there and a NaN one in the job."""
     rows = table2_metrics(
         table2_accuracy.build_corpus(spark, "test"), ["lorenzo"], EB_SWEEP_REL, seed=7
-    ).cache()
+    )
     assert_equivalent(
         table2_accuracy.table2_errors(rows),
         f"""
@@ -60,7 +64,70 @@ def test_table2_errors_vs_oracle(spark):
         """,
         rows=rows,
     )
-    rows.unpersist()
+
+
+def test_table2_errors_nan_ratio_makes_group_nan():
+    """Eq. 20 keeps Spark's ``stddev_pop`` rule: a NaN ratio in a group makes
+    that group's error NaN (it is not skipped), and an all-NaN ``m_ssim``
+    group reads NaN; the population std is taken (ddof = 0)."""
+    m = np.array([1.0, 1.2, 0.9, 1.1])
+    rows = pd.DataFrame(
+        {
+            "dataset": ["A"] * 2 + ["B"] * 2,
+            "field": ["a"] * 2 + ["b"] * 2,
+            "sample_err": [0.1, 0.3, 0.2, 0.2],
+            "e_huff": 1.0, "e_ll": 1.0, "e_psnr": [40.0, np.nan, 40.0, 40.0], "e_ssim": 0.5,
+            "m_huff": m, "m_ll": m, "m_psnr": 40.0 * m, "m_ssim": [0.5, 0.6, np.nan, np.nan],
+        }
+    )
+    out = table2_accuracy.table2_errors(rows).set_index("dataset")
+    assert math.isnan(out.loc["A", "psnr_err"])
+    assert out.loc["B", "psnr_err"] == pytest.approx(1 - 1 / (1 + 0.1))
+    assert out.loc["A", "ssim_err"] == pytest.approx(1 - 1 / (1 + 0.1))
+    assert math.isnan(out.loc["B", "ssim_err"]) and math.isnan(out.loc["B", "ssim_dist_err"])
+    assert out.loc["A", "huff_err"] == pytest.approx(1 - 1 / (1 + 0.1))
+    assert list(out["sample_err"]) == pytest.approx([0.2, 0.2])
+
+
+def _job_shape(sc, group: str, timeout_s: float = 30.0) -> dict:
+    """Jobs, stages and tasks of ``group``, once every job has ended (the
+    status tracker is fed by Spark's listener bus, which may lag)."""
+    tracker = sc.statusTracker()
+    deadline = time.monotonic() + timeout_s
+    while True:
+        jobs = [tracker.getJobInfo(j) for j in tracker.getJobIdsForGroup(group)]
+        ended = all(j is not None and j.status in ("SUCCEEDED", "FAILED") for j in jobs)
+        if (jobs and ended) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    stages = {s for j in jobs if j is not None for s in j.stageIds}
+    infos = [tracker.getStageInfo(s) for s in stages]
+    return {
+        "jobs": len(jobs),
+        "stages": len(stages),
+        "tasks": sum(i.numTasks for i in infos if i is not None),
+    }
+
+
+def test_main_is_one_job_of_one_stage_without_spark_sql(spark, monkeypatch):
+    """One run of the job is one Spark job of one stage with a task per
+    chunk partition, and makes no DataFrame."""
+
+    def no_sql(*args, **kwargs):
+        raise AssertionError("the Table II job must not call createDataFrame")
+
+    monkeypatch.setattr(SparkSession, "createDataFrame", no_sql)
+    monkeypatch.setattr(table2_accuracy, "emit", lambda name, pdf, float_fmt="%.4g": None)
+    sc = spark.sparkContext
+    group = "test-table2-job-shape"
+    sc.setJobGroup(group, "Table II job shape")
+    try:
+        out = table2_accuracy.main(spark, "test")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(out) == len(sci_data.FIELDS) + 1
+    n_tasks = table2_accuracy.build_corpus(spark, "test").getNumPartitions()
+    assert _job_shape(sc, group) == {"jobs": 1, "stages": 1, "tasks": n_tasks}
 
 
 def test_main_reproduces_committed_table(spark, monkeypatch):
