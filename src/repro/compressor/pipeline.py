@@ -33,7 +33,7 @@ import numpy as np
 from .. import analysis
 from . import huffman, rle
 from .predictors import get_predictor
-from .quantizer import check_field, p0_of
+from .quantizer import check_bound, check_field, p0_of
 
 __all__ = [
     "CompressedField", "compress", "decompress", "measure", "to_bytes", "from_bytes",
@@ -110,8 +110,10 @@ class CompressedField:
 
 def compress(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField:
     """Compress ``data`` with a point-wise absolute error bound ``eb_abs``.
-    Raises ``ValueError`` for an empty or non-finite field (``check_field``)."""
+    Raises ``ValueError`` for an empty or non-finite field (``check_field``)
+    and for a bound outside ``0 < eb_abs < inf`` (``check_bound``)."""
     check_field(data)
+    check_bound(eb_abs)
     pred = get_predictor(predictor)
     codes, extras = pred.compress(data, eb_abs)
     code = huffman.build(codes)

@@ -3,10 +3,13 @@
 The quantization interval is ``2×eb`` so that reconstructing at the bin
 centre guarantees the point-wise absolute error bound ``eb``. ``quantize``
 and ``dequantize`` are the single definition every predictor's compress and
-decompress path uses, and ``quantize`` also bins the model's sampled
-histogram (``core.histogram.phase_smear``). ``check_bound`` rejects
-``eb <= 0``, for which no error-bounded encoding exists; ``quantize`` (and so
-every ``compress``) and the ratio-quality model's estimates share it.
+decompress path uses; ``quantize`` also bins the model's sampled histogram
+(``core.histogram.phase_smear``), and the model's Lorenzo lattice residual
+is ``v − dequantize(quantize(v))`` (``core.quality_model.sigma_e2_lattice``).
+``check_bound`` rejects every bound but ``0 < eb < inf`` (the rule
+``pipeline.from_bytes`` applies to a stored bound): no error-bounded
+encoding exists for ``eb <= 0``, and a NaN or infinite bound bounds
+nothing; ``quantize``, ``compress`` and the model's estimates share it.
 ``check_field`` rejects a field whose dtype is not real numeric (complex,
 object, string, ...), whose values ``|x − x'| ≤ eb`` cannot bound, and an
 empty field or one holding NaN or ±inf, for which neither the bound nor the
@@ -20,9 +23,9 @@ __all__ = ["check_bound", "check_field", "quantize", "dequantize", "p0_of"]
 
 
 def check_bound(eb: float) -> None:
-    """Raise ``ValueError`` for an error bound ``eb <= 0``."""
-    if eb <= 0:
-        raise ValueError("error bound must be positive")
+    """Raise ``ValueError`` unless ``0 < eb < inf`` (so also for NaN)."""
+    if not 0 < eb < np.inf:
+        raise ValueError(f"error bound must be positive and finite, got {eb}")
 
 
 def check_field(data: np.ndarray) -> None:

@@ -71,7 +71,7 @@ class RatioQualityModel:
     # ------------------------------------------------------------------
     def estimate(self, eb_abs: float) -> dict:
         """All ratio/quality estimates for one absolute error bound. Raises
-        ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
+        ``ValueError`` unless ``0 < eb_abs < inf``, as ``compress`` does."""
         check_bound(eb_abs)
         syms, cnts = histogram.phase_smear(self.errors, self.weights, eb_abs, self.alpha)
         p0 = p0_of(syms, cnts)
@@ -96,7 +96,7 @@ class RatioQualityModel:
         ``ebs_abs``: ``estimate`` at each bound, as one float64 array per
         estimate key, in bound order. The one sweep of the model over
         bounds; every use-case decision reads these arrays. Raises
-        ``ValueError`` for an empty grid or a bound ``<= 0``."""
+        ``ValueError`` for an empty grid or a bound ``estimate`` rejects."""
         est = [self.estimate(e) for e in ebs_abs]
         if not est:
             raise ValueError("no error bounds to sweep")
@@ -128,8 +128,9 @@ class RatioQualityModel:
         """Invert the model: error bound whose estimated Huffman + lossless
         bit-rate meets a target (fix-rate mode, use-case 2), the upper end
         of ``_search``'s bracket. Pure model evaluations — no compression.
-        Raises ``ValueError`` for a constant field, as every inversion
-        does."""
+        Raises ``ValueError`` for a constant field or a NaN target, as every
+        inversion does."""
+        _check_target(target_bits_per_point)
         return self._search(lambda eb: self.estimate(eb)["bitrate_ll"] > target_bits_per_point)[1]
 
     def error_bound_for_psnr(self, target_psnr_db: float) -> float:
@@ -152,6 +153,7 @@ class RatioQualityModel:
         a *global* peak (a snapshot-level floor while this model sees one
         rank's partition) comes in through ``quality_model.mse_budget`` on
         the global range."""
+        _check_target(target_mse)
 
         def ok(eb):
             # every σ² estimate is at most eb² (each error lies within ±eb),
@@ -164,7 +166,14 @@ class RatioQualityModel:
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the
         original data's radial spectrum (one-time analysis setup). Raises
-        ``ValueError`` for ``eb_abs <= 0``, as ``compress`` does."""
+        ``ValueError`` unless ``0 < eb_abs < inf``, as ``compress`` does."""
         check_bound(eb_abs)
         s2 = self._sigma_e2(eb_abs)
         return quality_model.fft_rel_error_est(s2, self.n_points, pk, modes_per_bin)
+
+
+def _check_target(target: float) -> None:
+    """Raise ``ValueError`` for a NaN inversion target, which no bound can
+    meet or miss: every comparison with it is false."""
+    if np.isnan(target):
+        raise ValueError("inversion target is NaN")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import _K2  # SSIM contrast constant K2 of the measured SSIM
+from ..compressor.quantizer import dequantize, quantize
 
 __all__ = [
     "sigma_e2_uniform",
@@ -42,7 +43,8 @@ def sigma_e2_uniform(eb: float) -> float:
 
 
 def sigma_e2_lattice(values_sample: np.ndarray, eb: float) -> float:
-    """Error variance for a lattice quantizer (our Lorenzo: d' = 2e·round(d/2e)).
+    """Error variance for a lattice quantizer (our Lorenzo: d' = 2e·round(d/2e),
+    the compressor's own ``quantize`` and ``dequantize``).
 
     The compression error of *every* point is its phase residual on the 2e
     lattice, computable directly from sampled data values. This converges to
@@ -51,7 +53,7 @@ def sigma_e2_lattice(values_sample: np.ndarray, eb: float) -> float:
     range (errors then concentrate instead of being uniform).
     """
     v = np.asarray(values_sample, dtype=np.float64)
-    resid = v - (2.0 * eb) * np.rint(v / (2.0 * eb))
+    resid = v - dequantize(quantize(v, eb), eb)
     return float(np.mean(resid**2))
 
 

@@ -1,16 +1,17 @@
 """Chunk RDDs: scientific fields cut into pickled per-rank slabs.
 
-A chunk row is a dict ``{dataset, field, chunk_id, dims, dtype, values}``
-where ``values`` is the raw little-endian buffer of a C-contiguous array of
-shape ``dims``. Chunks are slabs along axis 0, the same way an MPI rank holds
-a contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
+A chunk row is a dict ``{dataset, field, chunk_id, values}`` where
+``values`` is the slab itself: a read-only numpy view of the field, cut
+along axis 0 the same way an MPI rank holds a contiguous sub-domain of a
+snapshot in the paper's parallel-HDF5 setup. The driver makes no copy;
+pickling the row for ``parallelize`` serializes the slab's own bytes, dtype
+and shape, and the executor gets the array back as it was.
 ``chunk_rows`` cuts one field; ``layout_chunks`` turns chunk rows into an
 RDD (the dump passes one snapshot's rows, the Table II job every field's
 rows at once). ``per_chunk`` is the one place per-chunk work enters
 the Spark executors. Chunks travel as pickled dicts through the RDD API: a
-chunk is an opaque blob that a columnar format cannot help with, so the
-per-chunk path makes no Arrow or pandas conversion, and Spark SQL starts only
-at the metric rows (``model_udf``).
+chunk is an opaque slab that a columnar format cannot help with, so the
+per-chunk path makes no Arrow, pandas or Spark SQL conversion.
 
 A chunk is a rank, not a Spark task. ``layout_chunks`` lays ``n`` chunks out
 in ``min(n, defaultParallelism)`` partitions balanced by bytes, with no
@@ -39,7 +40,9 @@ __all__ = [
 
 
 def chunk_rows(dataset: str, field: str, arr: np.ndarray, n_chunks: int) -> list[dict]:
-    """Split ``arr`` into ≤ ``n_chunks`` axis-0 slabs → plain row dicts."""
+    """Split ``arr`` into ≤ ``n_chunks`` axis-0 slabs → plain row dicts, each
+    slab a read-only view of ``arr`` (of a C-contiguous copy if ``arr`` is
+    not C-contiguous)."""
     arr = np.ascontiguousarray(arr)
     n0 = arr.shape[0]
     n_chunks = max(1, min(n_chunks, n0))
@@ -48,17 +51,9 @@ def chunk_rows(dataset: str, field: str, arr: np.ndarray, n_chunks: int) -> list
     for cid, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         if b <= a:
             continue
-        slab = np.ascontiguousarray(arr[a:b])
-        rows.append(
-            {
-                "dataset": dataset,
-                "field": field,
-                "chunk_id": cid,
-                "dims": [int(x) for x in slab.shape],
-                "dtype": str(slab.dtype),
-                "values": slab.tobytes(),
-            }
-        )
+        slab = arr[a:b]
+        slab.flags.writeable = False
+        rows.append({"dataset": dataset, "field": field, "chunk_id": cid, "values": slab})
     return rows
 
 
@@ -76,25 +71,23 @@ def layout_chunks(spark: SparkSession, rows: list[dict]) -> RDD:
     p = min(len(rows), sc.defaultParallelism)
     groups: list[list[dict]] = [[] for _ in range(p)]
     load = [0] * p
-    for r in sorted(rows, key=lambda r: len(r["values"]), reverse=True):
+    for r in sorted(rows, key=lambda r: r["values"].nbytes, reverse=True):
         g = min(range(p), key=load.__getitem__)
         groups[g].append(r)
-        load[g] += len(r["values"])
+        load[g] += r["values"].nbytes
     return sc.parallelize(groups, p).flatMap(iter)
 
 
 def chunk_to_array(row: dict) -> np.ndarray:
-    """Chunk row → numpy array (a read-only view of its ``values``)."""
-    return np.frombuffer(row["values"], dtype=np.dtype(row["dtype"])).reshape(
-        tuple(row["dims"])
-    )
+    """Chunk row → its slab (read-only on the driver and in the executors)."""
+    return row["values"]
 
 
 def per_chunk(chunks: RDD, fn: Callable[[dict, np.ndarray], Iterable[dict]]) -> RDD:
     """Run ``fn(row, array)`` on every chunk inside the executors → RDD of
     ``fn``'s output dicts.
 
-    ``row`` is the chunk row and ``array`` its decoded values; ``fn`` returns
+    ``row`` is the chunk row and ``array`` its slab; ``fn`` returns
     that chunk's output rows as dicts, which follow one another in the order
     the partition holds the chunks. Each task ends by dropping the worker's
     cached zip finders (``_drop_zip_finders``), so a reused worker starts its

@@ -13,13 +13,18 @@ Table II job deserializes each chunk once, needs no join and aggregates on
 the driver.
 
 ``estimate_metrics``, ``measure_metrics`` and ``sample_reports`` each run one
-of those streams on its own and return a Spark DataFrame (``METRIC_SCHEMA``,
-``SAMPLE_SCHEMA``) through one ``createDataFrame(rdd, schema)``
-(``_to_dataframe``), after converting every value to the schema's Python
-type. ``METRIC_SCHEMA``'s wall-clock ``seconds`` summed over a (chunk,
-predictor) group are the executor time of the model or of the trials. No
-job calls these three; the benchmark's traced Table II pass times each
-stream with them.
+of those streams on its own when called, collect its row dicts and return
+them as a Spark DataFrame (``_frame``: ``createDataFrame`` of a pandas
+frame), its columns in the order the rows give them. A pass with no rows
+raises PySpark's ``CANNOT_INFER_EMPTY_SCHEMA``; no caller makes one, as
+every chunk yields rows. A metric row's wall-clock ``seconds`` summed over
+a (chunk, predictor) group are the executor time of the model or of the
+trials. No job calls these three; the benchmark's traced Table II pass
+times each stream with them.
+
+pandas is imported where a frame is built, never with the module: every
+Python worker imports this module (``per_chunk`` lives in this package),
+and pandas would add ~0.4 s to each newly forked worker's first task.
 """
 from __future__ import annotations
 
@@ -29,7 +34,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from ..analysis import value_range
 from ..compressor import pipeline
@@ -42,38 +46,13 @@ if TYPE_CHECKING:
     import pandas as pd
 
 __all__ = [
-    "METRIC_SCHEMA",
     "estimate_metrics",
     "measure_metrics",
     "sample_reports",
     "table2_metrics",
 ]
 
-METRIC_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType(), False),
-        T.StructField("field", T.StringType(), False),
-        T.StructField("chunk_id", T.IntegerType(), False),
-        T.StructField("predictor", T.StringType(), False),
-        T.StructField("kind", T.StringType(), False),  # "est" | "meas"
-        T.StructField("eb_rel", T.DoubleType(), False),
-        T.StructField("eb_abs", T.DoubleType(), False),
-        T.StructField("n_points", T.LongType(), False),
-        T.StructField("bitrate_huff", T.DoubleType(), False),
-        T.StructField("bitrate_ll", T.DoubleType(), False),
-        T.StructField("p0", T.DoubleType(), False),
-        T.StructField("psnr", T.DoubleType(), False),
-        T.StructField("ssim", T.DoubleType(), True),
-        T.StructField("seconds", T.DoubleType(), False),
-    ]
-)
-
 _KEYS = ("dataset", "field", "chunk_id", "predictor", "eb_rel")
-
-SAMPLE_SCHEMA = T.StructType(
-    [METRIC_SCHEMA[k] for k in _KEYS[:4]]
-    + [T.StructField(k, T.DoubleType(), False) for k in ("std_full", "std_sample", "sample_err")]
-)
 
 #: ``e_``/``m_`` column suffix -> metric of the estimate/measurement row
 _METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "psnr": "psnr", "ssim": "ssim"}
@@ -88,24 +67,14 @@ _TABLE2_COLUMNS = [
 ]
 
 
-_PY_TYPES = {T.StringType: str, T.IntegerType: int, T.LongType: int, T.DoubleType: float}
+def _frame(rows: RDD) -> DataFrame:
+    """Run the pass: collect its row dicts → Spark DataFrame with the rows'
+    columns in their key order (an int reads as bigint, a NaN as NaN).
+    Raises PySpark's ``CANNOT_INFER_EMPTY_SCHEMA`` for a pass with no rows,
+    which no caller makes: every chunk yields rows."""
+    import pandas as pd
 
-
-def _to_dataframe(rows: RDD, schema: T.StructType) -> DataFrame:
-    """RDD of row dicts → DataFrame with ``schema``.
-
-    Every value becomes the schema's Python type (numpy scalars do not
-    pickle to the JVM), and a NaN becomes null where the field is nullable.
-    """
-    cols = [(f.name, _PY_TYPES[type(f.dataType)], f.nullable) for f in schema]
-
-    def as_tuple(r: dict) -> tuple:
-        return tuple(
-            None if nullable and (r[k] is None or r[k] != r[k]) else typ(r[k])
-            for k, typ, nullable in cols
-        )
-
-    return SparkSession.builder.getOrCreate().createDataFrame(rows.map(as_tuple), schema)
+    return SparkSession.builder.getOrCreate().createDataFrame(pd.DataFrame(rows.collect()))
 
 
 def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
@@ -179,7 +148,7 @@ def estimate_metrics(
         for p in preds:
             yield from _estimate_rows(row, arr, p, ebs, seed)[1]
 
-    return _to_dataframe(per_chunk(chunks, fn), METRIC_SCHEMA)
+    return _frame(per_chunk(chunks, fn))
 
 
 def measure_metrics(
@@ -194,7 +163,7 @@ def measure_metrics(
         for p in preds:
             yield from _measure_rows(row, arr, p, ebs)
 
-    return _to_dataframe(per_chunk(chunks, fn), METRIC_SCHEMA)
+    return _frame(per_chunk(chunks, fn))
 
 
 def sample_reports(
@@ -207,7 +176,7 @@ def sample_reports(
         report = sample_error_report(arr, predictor, rate=rate, seed=seed)
         return [{k: row[k] for k in _KEYS[:3]} | {"predictor": predictor} | report]
 
-    return _to_dataframe(per_chunk(chunks, fn), SAMPLE_SCHEMA)
+    return _frame(per_chunk(chunks, fn))
 
 
 def table2_metrics(
@@ -224,10 +193,7 @@ def table2_metrics(
     from the model's own 1% sample (``sample_fidelity``). ``m_ssim`` is NaN
     where SSIM is not measured (1D/4D chunks).
     """
-    # Imported here, not with the module: every Python worker imports this
-    # module (``per_chunk`` lives in this package), and pandas would add
-    # ~0.4 s to each newly forked worker's first task.
-    import pandas as pd
+    import pandas as pd  # here, not with the module (module docstring)
 
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]

@@ -268,6 +268,19 @@ def test_inversions_reject_constant_field(pred, invert, target):
         getattr(m, invert)(target)
 
 
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize(
+    "invert", ["error_bound_for_bitrate", "error_bound_for_psnr", "error_bound_for_mse"]
+)
+def test_inversions_reject_nan_target(pred, invert):
+    """No bound meets or misses a NaN target: each inversion raises instead
+    of returning the bottom of its search range."""
+    d = np.random.default_rng(0).normal(size=(8, 8, 8))
+    m = RatioQualityModel(d, pred, seed=0)
+    with pytest.raises(ValueError, match="target is NaN"):
+        getattr(m, invert)(float("nan"))
+
+
 def test_model_deterministic(field_data):
     d = field_data[("SCALE", "PRES")]
     a = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)

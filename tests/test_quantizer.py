@@ -53,10 +53,21 @@ def test_reconstruction_error_bounded_property(vals, eb):
 
 
 def test_quantize_rejects_bad_eb():
-    with pytest.raises(ValueError):
-        quantize(np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        quantize(np.zeros(3), -1.0)
+    """Only ``0 < eb < inf`` bounds anything: a zero, negative, NaN or
+    infinite bound raises in the quantizer, in every compressor and
+    measurement, and in the model's estimate."""
+    d = np.random.default_rng(0).normal(size=(6, 7, 8))
+    models = {p: RatioQualityModel(d, p, seed=0) for p in PREDICTORS}
+    for eb in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="error bound"):
+            quantize(np.zeros(3), eb)
+        for predictor in PREDICTORS:
+            with pytest.raises(ValueError, match="error bound"):
+                pipeline.compress(d, predictor, eb)
+            with pytest.raises(ValueError, match="error bound"):
+                pipeline.measure(d, predictor, eb)
+            with pytest.raises(ValueError, match="error bound"):
+                models[predictor].estimate(eb)
 
 
 def test_quantize_dequantize_idempotent():

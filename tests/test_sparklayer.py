@@ -55,10 +55,58 @@ def test_chunk_roundtrip_exact(spark, chunks_rdd):
 
 
 def test_chunk_schema(chunks_rdd):
+    """A chunk row carries its slab itself: the field's float32 values,
+    cut along axis 0."""
+    d = sci_data.generate("SCALE", "PRES", "test")
     row = chunks_rdd.first()
-    assert set(row) == {"dataset", "field", "chunk_id", "dims", "dtype", "values"}
+    assert set(row) == {"dataset", "field", "chunk_id", "values"}
     arr = chunk_to_array(row)
-    assert arr.dtype == np.float32
+    assert arr is row["values"]
+    assert isinstance(arr, np.ndarray) and arr.dtype == np.float32
+    assert arr.shape[1:] == d.shape[1:] and 0 < arr.shape[0] < d.shape[0]
+
+
+def test_driver_chunk_is_read_only_view_of_field():
+    """``chunk_rows`` copies nothing: each slab is a read-only view of the
+    field, and the field itself stays writeable."""
+    d = sci_data.generate("SCALE", "PRES", "test")
+    rows = chunk_rows("SCALE", "PRES", d, 3)
+    for r in rows:
+        arr = chunk_to_array(r)
+        assert np.shares_memory(arr, d)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert d.flags.writeable
+    np.testing.assert_array_equal(np.concatenate([chunk_to_array(r) for r in rows]), d)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int16])
+def test_non_float32_chunks_reach_executors_intact(spark, dtype):
+    """A float64 and an int16 field of odd shape pass through
+    ``layout_chunks`` + ``per_chunk``: each executor sees its slab with the
+    field's dtype, its own shape and bytes, read-only."""
+    d = (np.random.default_rng(3).normal(size=(5, 3, 7)) * 1000).astype(dtype)
+    rows = chunk_rows("T", "odd", d, 3)
+
+    def fn(row, arr):
+        return [
+            dict(
+                chunk_id=row["chunk_id"],
+                dtype=str(arr.dtype),
+                shape=arr.shape,
+                raw=arr.tobytes(),
+                writeable=arr.flags.writeable,
+            )
+        ]
+
+    seen = {r["chunk_id"]: r for r in per_chunk(layout_chunks(spark, rows), fn).collect()}
+    assert sorted(seen) == [r["chunk_id"] for r in rows]
+    for r in rows:
+        got, want = seen[r["chunk_id"]], chunk_to_array(r)
+        assert got["dtype"] == str(np.dtype(dtype)) and got["shape"] == want.shape
+        assert got["raw"] == want.tobytes()
+        assert not got["writeable"]
 
 
 def test_chunking_single_chunk(spark):
@@ -104,7 +152,7 @@ def test_layout_one_balanced_partition_per_core_without_shuffle(spark):
     assert sorted(pdf["field"]) == sorted(r["field"] for r in rows)
     loads = pdf.groupby("part")["nbytes"].sum()
     assert set(loads.index) == set(range(p))
-    sizes = [len(r["values"]) for r in rows]
+    sizes = [r["values"].nbytes for r in rows]
     assert loads.max() <= sum(sizes) / p + max(sizes)
 
 
@@ -236,8 +284,7 @@ def test_table2_metrics_matches_separate_passes(spark, chunks_rdd):
         ("m", measure_metrics(chunks, preds, ebs)),
     ):
         ref = ref.toPandas().sort_values(keys).reset_index(drop=True)
-        # Spark's IntegerType ``chunk_id`` reads int32, the collected one int64
-        pd.testing.assert_frame_equal(wide[keys], ref[keys], check_dtype=False)
+        pd.testing.assert_frame_equal(wide[keys], ref[keys])
         for col in ("huff", "ll", "psnr", "ssim"):
             metric = f"bitrate_{col}" if col in ("huff", "ll") else col
             np.testing.assert_array_equal(wide[f"{side}_{col}"], ref[metric], err_msg=col)
