@@ -34,9 +34,12 @@ def test_model_build(benchmark, rtm, pred):
     benchmark(RatioQualityModel, rtm, pred, 0.01, seed=7)
 
 
-def test_model_estimate_sweep(benchmark, rtm, vrange):
-    """All 7 error-bound estimates from one built model."""
-    m = RatioQualityModel(rtm, "lorenzo", seed=7)
+@pytest.mark.parametrize("pred", ["lorenzo", "interp", "regression"])
+def test_model_estimate_sweep(benchmark, rtm, vrange, pred):
+    """All 7 error-bound estimates from one built model: ``phase_smear``
+    per bound for every predictor, plus the predictor's σ² (Lorenzo's
+    lattice residual, interp's quiet fractions, regression's Eq. 11)."""
+    m = RatioQualityModel(rtm, pred, seed=7)
 
     benchmark(m.curve, np.asarray(EB_SWEEP_REL) * vrange)
 

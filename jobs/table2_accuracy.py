@@ -131,8 +131,7 @@ def fft_quality_study(scale: str, predictor: str) -> pd.DataFrame:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--scale", default="bench", choices=["test", "bench"])
-    ap.add_argument("--predictor", default="lorenzo")
     args = ap.parse_args()
     spark = get_spark("table2")
-    main(spark, args.scale, args.predictor)
-    fft_quality_study(args.scale, args.predictor)
+    main(spark, args.scale)
+    fft_quality_study(args.scale, "lorenzo")

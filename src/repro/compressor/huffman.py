@@ -8,8 +8,11 @@ reuses the in-memory codes).
 Building and encoding cost a few numpy passes over the stream; Python loops
 run only over the distinct symbols:
 
-- histogram: ``np.bincount`` over the symbol span when the span is no larger
-  than the stream (quantization codes), else ``np.unique``;
+- histogram (``histogram``, the one binning rule of the repository: the
+  model's estimated code histogram is counted by it too): ``np.bincount``
+  over the symbol span when the span is no larger than the stream
+  (quantization codes), else ``np.unique`` and a ``bincount`` of its
+  inverse; symbols with no count are dropped;
 - code lengths: a heap of ``(count, node id)`` merges with a parent per
   node, then one reverse sweep for the depths;
 - encoder: each symbol's length and codeword come from a table over the
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HuffmanCode", "build", "codebook_bytes", "from_lengths"]
+__all__ = ["HuffmanCode", "build", "codebook_bytes", "from_lengths", "histogram"]
 
 _WORD_MASK = (1 << 64) - 1
 MAX_DECODE_BITS = 57  # data bits in a decoder window
@@ -181,7 +184,7 @@ class HuffmanCode:
 
 def build(stream: np.ndarray) -> HuffmanCode:
     """Build the canonical Huffman code of an int64 code stream."""
-    symbols, cnts = _histogram(np.asarray(stream, np.int64).ravel())
+    symbols, cnts = histogram(stream)
     if len(symbols) > 1:
         lengths = _code_lengths(cnts.tolist())
     else:
@@ -213,16 +216,23 @@ def _dense(span: int, n: int) -> bool:
     return span <= n
 
 
-def _histogram(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct symbols and their counts: ``np.bincount`` over a dense
-    span, else ``np.unique`` (a sort)."""
-    if stream.size:
-        lo, hi = int(stream.min()), int(stream.max())
-        if _dense(hi - lo + 1, stream.size):
-            cnt = np.bincount(stream - lo)
-            present = np.flatnonzero(cnt)
-            return present + lo, cnt[present]
-    return np.unique(stream, return_counts=True)
+def histogram(
+    stream: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct int64 symbols of ``stream`` and their counts (the
+    sum of their nonnegative ``weights``, if given): ``np.bincount`` over a
+    dense span, else ``np.unique`` and a ``bincount`` of its inverse. Either
+    way each symbol's weights add up in stream order. Symbols whose count
+    is zero are dropped."""
+    stream = np.asarray(stream, np.int64).ravel()
+    lo, hi = (int(stream.min()), int(stream.max())) if stream.size else (0, -1)
+    if _dense(hi - lo + 1, stream.size):
+        symbols, inv = np.arange(lo, hi + 1, dtype=np.int64), stream - lo
+    else:
+        symbols, inv = np.unique(stream, return_inverse=True)
+    cnt = np.bincount(inv, weights)
+    present = np.flatnonzero(cnt)
+    return symbols[present], cnt[present]
 
 
 def _code_lengths(counts: list[int]) -> np.ndarray:

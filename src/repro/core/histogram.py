@@ -16,15 +16,18 @@ reconstructed neighbours are accounted for (α = 1 is exact for 1D Lorenzo;
 higher-dimensional stencils combine more independent phases, raising α —
 our analogue of the paper's per-predictor Eq. 9 constant; see DESIGN.md).
 The bins come from ``quantizer.quantize``, the compressor's own rounding
-rule. The paper-literal Eq. 9 is not implemented: its ``(1−p0)`` factor
-vanishes as the sampled histogram saturates (p0 → 1), the regime that needs
-the correction most. With α = 0 (interp, regression) the smear is the raw
+rule, and are counted by ``huffman.histogram``, the one binning rule, which
+also counts the real codes the compressor's Huffman code is built from.
+The paper-literal Eq. 9 is not implemented: its ``(1−p0)`` factor vanishes
+as the sampled histogram saturates (p0 → 1), the regime that needs the
+correction most. With α = 0 (interp, regression) the smear is the raw
 sampled histogram.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from ..compressor.huffman import histogram
 from ..compressor.quantizer import quantize
 
 __all__ = ["phase_smear", "phase_alpha"]
@@ -59,9 +62,5 @@ def phase_smear(
     f = x - c0
     t = np.clip(alpha * np.abs(f), 0.0, 1.0)  # transfer probability
     codes = np.concatenate([c0, c0 + np.sign(f).astype(np.int64)])
-    wts = np.concatenate([w * (1.0 - t), w * t])
-    syms, inv = np.unique(codes, return_inverse=True)
-    cnts = np.bincount(inv, weights=wts)
-    keep = cnts > 0
-    return syms[keep], cnts[keep]
+    return histogram(codes, np.concatenate([w * (1.0 - t), w * t]))
 

@@ -103,17 +103,21 @@ def sigma_e2_interp(
         Q = min over refinement groups of  P(|δ| ≤ τ·eb),  τ = 0.25.
 
     The factor 2 accounts for the inherited neighbour-error term; the cap is
-    phase folding. Reduces to Eq. (10) when any level is fully active.
+    phase folding. Reduces to Eq. (10) when any level is fully active. Each
+    group's weights are summed by ``np.bincount`` over the group ids, the
+    binning rule of ``huffman.histogram`` (the model's one rule for counting
+    codes and strata); a group of zero weight has no quiet fraction.
     """
     e = np.asarray(errors, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    gid = np.asarray(group_ids)
+    gid = np.asarray(group_ids, dtype=np.int64)
     u = sigma_e2_uniform(eb)
     quiet = np.abs(e) <= _TAU * eb
-    q_min = 1.0
-    for g in np.unique(gid):
-        m = gid == g
-        q_min = min(q_min, float(w[m & quiet].sum() / w[m].sum()))
+    # per-group weight and quiet weight; the ids are the strata 0..G-1
+    w_all = np.bincount(gid, w)
+    w_quiet = np.bincount(gid[quiet], w[quiet], minlength=w_all.size)
+    has = w_all > 0
+    q_min = float((w_quiet[has] / w_all[has]).min(initial=1.0))
     wq = w[quiet].sum()
     if wq > 0 and q_min > 0:
         vq = min(2.0 * float((w[quiet] * e[quiet] ** 2).sum() / wq), u)

@@ -15,9 +15,11 @@ __all__ = ["sample_values", "weighted_std", "sample_error_report", "sample_fidel
 
 
 def sample_values(data: np.ndarray, rate: float, seed: int) -> np.ndarray:
-    """Uniform random sample of data values (for σ_D and diagnostics)."""
-    flat = np.asarray(data, dtype=np.float64).ravel()
-    return flat[draw_sample(flat.size, rate, np.random.default_rng(seed))[0]]
+    """Uniform random sample of data values (for σ_D and diagnostics), as
+    float64; only the drawn values are cast."""
+    flat = np.asarray(data).ravel()
+    idx, _ = draw_sample(flat.size, rate, np.random.default_rng(seed))
+    return flat[idx].astype(np.float64)
 
 
 def weighted_std(x: np.ndarray, w: np.ndarray) -> float:

@@ -15,7 +15,7 @@ the sample report in one pass over the chunks (one Spark job of one stage)
 and returns one wide row per (chunk, predictor, error bound) with the
 estimate and the measurement side by side, so the Table II job
 deserializes each chunk once; its aggregation to per-field Table II rows is
-pandas on the driver, checked against the DuckDB oracle in tests.
+pandas on the driver, checked against the DuckDB oracle of ``tests/oracle.py``.
 """
 from .chunks import chunk_to_array  # noqa: F401
 from .model_udf import (  # noqa: F401

@@ -1,7 +1,7 @@
 """Tests for the canonical Huffman coder (§III-C-1 substrate)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compressor import huffman
@@ -223,6 +223,41 @@ def test_build_stream_matches_histogram(vals):
     for x, y in zip(
         (a.symbols, a.counts, a.lengths, a.codes), (b.symbols, b.counts, b.lengths, b.codes)
     ):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+@st.composite
+def _weighted_streams(draw):
+    """A dense, sparse or empty stream, with no weights or nonnegative
+    weights of which many are zero."""
+    vals = draw(
+        st.one_of(
+            st.just([]),
+            _dense_streams,
+            st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=300),
+        )
+    )
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    weights = draw(st.none() | st.lists(weight, min_size=len(vals), max_size=len(vals)))
+    return np.array(vals, np.int64), None if weights is None else np.array(weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_streams())
+@example((np.array([9, 5, 5, 7]), np.array([0.0, 1.0, 2.0, 0.0])))  # 7 and 9 dropped
+@example((np.array([10**9, -5, 10**9]), np.array([0.0, 2.5, 0.0])))  # sparse span
+@example((np.array([], np.int64), None))
+@example((np.array([], np.int64), np.array([])))
+def test_histogram_is_unique_plus_bincount(stream_weights):
+    """``histogram`` is ``np.unique`` plus a ``bincount`` of its inverse,
+    bit for bit and dtype for dtype, with zero-count symbols dropped,
+    whichever path (dense table or sort) it takes."""
+    stream, weights = stream_weights
+    symbols, inv = np.unique(stream, return_inverse=True)
+    counts = np.bincount(inv, weights)
+    keep = counts > 0
+    for x, y in zip(huffman.histogram(stream, weights), (symbols[keep], counts[keep])):
         assert x.dtype == y.dtype
         np.testing.assert_array_equal(x, y)
 

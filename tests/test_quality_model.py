@@ -64,6 +64,47 @@ def test_sigma_interp_bounded_by_uniform():
     assert 0 <= s2 <= 0.5**2 / 3 + 1e-12
 
 
+def _sigma_interp_reference(errs, wts, gids, eb):
+    """``sigma_e2_interp`` with its quiet fractions taken group by group."""
+    u = eb * eb / 3.0
+    quiet = np.abs(errs) <= Q._TAU * eb
+    q_min = 1.0
+    for g in np.unique(gids):
+        m = gids == g
+        q_min = min(q_min, wts[m & quiet].sum() / wts[m].sum())
+    wq = wts[quiet].sum()
+    vq = min(2.0 * (wts[quiet] * errs[quiet] ** 2).sum() / wq, u) if wq > 0 and q_min > 0 else 0.0
+    return (1.0 - q_min) * u + q_min * vq
+
+
+@pytest.mark.parametrize("loud", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_sigma_interp_matches_per_group_reference(seed, loud):
+    """The bincount quiet fractions equal a per-group loop, over strata of
+    different sizes and weights with one id (3) absent; ``loud`` adds a
+    group with no quiet sample."""
+    rng = np.random.default_rng(seed)
+    groups = {0: rng.normal(0, 0.05, 64), 1: rng.normal(0, 0.3, 200),
+              2: rng.normal(0, 1.0, 900), 4: rng.normal(0, 0.2, 3000)}
+    if loud:
+        groups[5] = 10.0 + rng.random(64)  # above τ·eb at every eb below
+    errs = np.concatenate(list(groups.values()))
+    sizes = [v.size for v in groups.values()]
+    wts = np.repeat(rng.uniform(1.0, 50.0, len(groups)), sizes)
+    gids = np.repeat(list(groups), sizes)
+    for eb in (0.01, 0.2, 1.0, 30.0):
+        got = Q.sigma_e2_interp(errs, wts, gids, eb)
+        assert got == pytest.approx(_sigma_interp_reference(errs, wts, gids, eb), rel=1e-12, abs=0)
+
+
+def test_sigma_interp_empty_sample():
+    """No sample (every point an anchor): no group, the loop's 0.0."""
+    e = np.empty(0)
+    assert Q.sigma_e2_interp(e, e, np.empty(0, np.int64), 1.0) == _sigma_interp_reference(
+        e, e, np.empty(0, np.int64), 1.0
+    ) == 0.0
+
+
 def test_psnr_est_matches_injected_uniform_noise():
     """Inject uniform ±eb noise and compare Eq. (12) with measured PSNR."""
     rng = np.random.default_rng(3)

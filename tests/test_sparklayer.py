@@ -15,7 +15,7 @@ from pyspark.sql import functions as F
 from repro import sci_data
 from repro.compressor import pipeline
 from repro.core.model import RatioQualityModel
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from repro.sparklayer import (
     chunk_to_array,
     estimate_metrics,

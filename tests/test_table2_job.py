@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro import sci_data
 from repro.config import EB_SWEEP_REL
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from repro.sparklayer import table2_metrics
 
 ROOT = Path(__file__).resolve().parent.parent
