@@ -6,7 +6,7 @@ of a real encoding), a bitstream encoder, and the decoder that
 reuses the in-memory codes).
 
 Building and encoding cost a few numpy passes over the stream; Python loops
-run only over the distinct symbols:
+run only over the distinct symbols or code lengths:
 
 - histogram (``histogram``, the one binning rule of the repository: the
   model's estimated code histogram is counted by it too): ``np.bincount``
@@ -15,6 +15,9 @@ run only over the distinct symbols:
   inverse; symbols with no count are dropped;
 - code lengths: a heap of ``(count, node id)`` merges with a parent per
   node, then one reverse sweep for the depths;
+- codewords: ``_canonical`` states the canonical rule once, as a table per
+  code length that gives ``from_lengths`` every codeword and ``decode`` its
+  limits and symbol map;
 - encoder: each symbol's length and codeword come from a table over the
   symbol span (``searchsorted`` when the span is sparse); a ``cumsum`` gives
   each codeword's end bit, one shift places it in the 64-bit word holding
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HuffmanCode", "build", "codebook_bytes", "from_lengths", "histogram"]
+__all__ = ["HuffmanCode", "build", "from_lengths", "histogram"]
 
 _WORD_MASK = (1 << 64) - 1
 MAX_DECODE_BITS = 57  # data bits in a decoder window
@@ -57,10 +60,6 @@ class HuffmanCode:
     def total_bits(self) -> int:
         """Exact payload size in bits of encoding the full stream."""
         return int((self.counts * self.lengths.astype(np.int64)).sum())
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
     # ------------------------------------------------------------------
     def encode(self, stream: np.ndarray) -> bytes:
@@ -139,15 +138,10 @@ class HuffmanCode:
         top = int(lengths.max())
         if int(lengths.min()) < 1 or top > MAX_DECODE_BITS:
             raise ValueError(f"Huffman code lengths must be 1..{MAX_DECODE_BITS}")
-        # per length: sorted index minus canonical codeword, and the
-        # left-justified limit below which a window starts a codeword this
-        # long or shorter
-        base, limits, code, done = [], [], 0, 0
-        for ln, m in enumerate(np.bincount(lengths)[1:].tolist(), 1):
-            base.append(done - code)
-            code, done = code + m, done + m
-            limits.append(code << (64 - ln))
-            code <<= 1
+        order, count, first, code = _canonical(self.symbols, lengths)
+        # per length, one past its last codeword, left-justified: the limit
+        # below which a window starts a codeword this long or shorter
+        limits = [(code[ln] + count[ln]) << (64 - ln) for ln in range(1, top + 1)]
         if limits[-1] > 1 << 64:
             raise ValueError("Huffman code lengths oversubscribe the code space")
         # a complete code's top limit is 2**64, above every window
@@ -178,8 +172,8 @@ class HuffmanCode:
             raise ValueError("bytes after the last Huffman codeword")
         ln = length[starts]
         idx = (window[starts] >> (64 - ln).astype(np.uint64)).astype(np.int64)
-        idx += np.array(base)[ln - 1]
-        return self.symbols[np.lexsort((self.symbols, lengths))[idx]]
+        idx += np.subtract(first, code)[ln]  # codeword → sorted index
+        return self.symbols[order[idx]]
 
 
 def build(stream: np.ndarray) -> HuffmanCode:
@@ -194,20 +188,29 @@ def build(stream: np.ndarray) -> HuffmanCode:
 
 def from_lengths(symbols, lengths, counts) -> HuffmanCode:
     """The canonical code over sorted int64 ``symbols`` with these code
-    lengths (what a stored codebook holds). Codewords rise in (length,
-    symbol) order; codewords longer than 64 bits keep their low 64 bits
-    (``encode`` refuses such a code)."""
-    order = np.lexsort((symbols, lengths))
-    sorted_codes = []
-    code = prev_len = 0
-    for ln in lengths[order].tolist():
-        code <<= ln - prev_len
-        sorted_codes.append(code & _WORD_MASK)
-        code += 1
-        prev_len = ln
+    lengths (what a stored codebook holds), by ``_canonical``'s rule.
+    Codewords longer than 64 bits keep their low 64 bits (``encode``
+    refuses such a code)."""
+    order, count, first, code = _canonical(symbols, lengths)
+    # each codeword: its length's first (low 64 bits) plus its rank there
+    rank = (np.arange(len(order)) - np.repeat(first, count)).astype(np.uint64)
     codes = np.empty(len(symbols), dtype=np.uint64)
-    codes[order] = sorted_codes
+    codes[order] = np.repeat(np.array([c & _WORD_MASK for c in code], np.uint64), count) + rank
     return HuffmanCode(symbols, counts, lengths, codes)
+
+
+def _canonical(symbols: np.ndarray, lengths: np.ndarray):
+    """The canonical rule, stated once: codewords rise in (length, symbol)
+    order, and each length starts one past the previous length's last
+    codeword, shifted left by one. Returns that order (as ``lexsort``
+    indices) and, per length 0..max, its symbol count, first sorted index
+    and first codeword (Python ints, exact at any length)."""
+    order = np.lexsort((symbols, lengths))
+    count = np.bincount(lengths, minlength=1).tolist()
+    first, code = np.cumsum([0] + count[:-1]).tolist(), [0]
+    for m in count[:-1]:
+        code.append((code[-1] + m) << 1)
+    return order, count, first, code
 
 
 def _dense(span: int, n: int) -> bool:
@@ -256,10 +259,3 @@ def _code_lengths(counts: list[int]) -> np.ndarray:
     for i in range(2 * k - 3, -1, -1):
         depth[i] = depth[parent[i]] + 1
     return np.array(depth[:k], dtype=np.int64)
-
-
-def codebook_bytes(n_symbols: int) -> int:
-    """Serialized codebook size we charge to the compressed stream: 4-byte
-    symbol + 1-byte code length per distinct symbol (canonical codes are
-    reconstructible from lengths alone)."""
-    return 5 * n_symbols

@@ -52,7 +52,7 @@ def overhead_bytes(n_symbols: int, side_bytes: int) -> int:
     """Bytes of a blob besides its body: header, codebook of ``n_symbols``
     distinct codes, and ``side_bytes`` of side data. The compressor's size
     accounting and the model's estimate both charge this."""
-    return huffman.codebook_bytes(n_symbols) + side_bytes + HEADER_BYTES
+    return _CODEBOOK.itemsize * n_symbols + side_bytes + HEADER_BYTES
 
 
 @dataclass
@@ -74,17 +74,13 @@ class CompressedField:
         self.n_points = int(np.prod(self.shape))
 
     # -- sizes ----------------------------------------------------------
-    @property
-    def huffman_payload_bits(self) -> int:
-        return self.code.total_bits
-
     def _overhead_bytes(self) -> int:
         return overhead_bytes(len(self.code.symbols), self.side_bytes)
 
     @property
     def nbytes_huffman(self) -> int:
         """Total size with Huffman only."""
-        return -(-self.huffman_payload_bits // 8) + self._overhead_bytes()
+        return -(-self.code.total_bits // 8) + self._overhead_bytes()
 
     @cached_property
     def body(self) -> bytes:
@@ -157,8 +153,8 @@ def from_bytes(blob: bytes) -> CompressedField:
     """Parse a :func:`to_bytes` blob back into a :class:`CompressedField`,
     decoding its Huffman bitstream. Raises ``ValueError`` for a bad magic,
     truncated or trailing bytes, an unknown predictor id, a shape of zero or
-    over 4 dims, a bad codebook or error bound, a corrupt lossless body, or a
-    bitstream that ends before every code is decoded."""
+    over 4 dims, a bad codebook or error bound, a corrupt lossless body, a
+    bitstream that ends before every code is decoded, or an unused symbol."""
     if len(blob) < HEADER_BYTES:
         raise ValueError("truncated header")
     magic, pid, eb, k, *dims = _HEADER.unpack_from(blob)
@@ -184,9 +180,11 @@ def from_bytes(blob: bytes) -> CompressedField:
     payload = blob[body_at:]
     if pid & _LOSSLESS_FLAG:
         payload = rle.inflate(payload, -(-n * huffman.MAX_DECODE_BITS // 8))
-    code = huffman.from_lengths(symbols, book["length"].astype(np.int64), np.zeros(k, np.int64))
+    code = huffman.from_lengths(symbols, book["length"].astype(np.int64), None)
     codes = code.decode(payload, n)
-    code.counts = np.bincount(np.searchsorted(symbols, codes), minlength=k)
+    used, code.counts = huffman.histogram(codes)
+    if len(used) != k:  # every decoded code is a codebook symbol
+        raise ValueError("codebook lists a symbol the bitstream never uses")
     side = np.frombuffer(blob, "<f4", math.prod(side_shape), side_at).reshape(side_shape)
     return CompressedField(
         pred.name, eb, shape, codes, side, payload, code, pred.side_bytes(shape)

@@ -40,9 +40,13 @@ def check_field(data: np.ndarray) -> None:
 
 
 def quantize(err: np.ndarray, eb: float) -> np.ndarray:
-    """Prediction errors → integer quantization codes (bin width 2·eb)."""
+    """Prediction errors → integer quantization codes (bin width 2·eb).
+    Raises ``ValueError`` for a code outside int64, which the cast wraps."""
     check_bound(eb)
-    return np.rint(np.asarray(err, dtype=np.float64) / (2.0 * eb)).astype(np.int64)
+    q = np.rint(np.asarray(err, dtype=np.float64) / (2.0 * eb))
+    if not -(2.0**63) <= q.min(initial=0.0) <= q.max(initial=0.0) < 2.0**63:
+        raise ValueError(f"quantization code outside int64 at error bound {eb}")
+    return q.astype(np.int64)
 
 
 def dequantize(codes: np.ndarray, eb: float) -> np.ndarray:

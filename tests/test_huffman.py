@@ -54,7 +54,7 @@ def test_optimality_vs_entropy():
     c = huffman.build(stream)
     p = c.counts / c.counts.sum()
     entropy = -(p * np.log2(p)).sum()
-    assert entropy <= c.total_bits / c.n <= entropy + 1.0
+    assert entropy <= c.total_bits / c.counts.sum() <= entropy + 1.0
 
 
 def test_bitrate_dominant_symbol_min_one_bit():
@@ -96,10 +96,6 @@ def test_skewed_distribution_shorter_codes_for_frequent():
     c = huffman.build(stream)
     assert list(c.symbols) == [0, 1, 2]
     assert c.lengths[0] <= c.lengths[1] <= c.lengths[2]
-
-
-def test_codebook_bytes():
-    assert huffman.codebook_bytes(10) == 50
 
 
 # -- encoder vs a bit-string reference ---------------------------------------
@@ -225,6 +221,52 @@ def test_build_stream_matches_histogram(vals):
     ):
         assert x.dtype == y.dtype
         np.testing.assert_array_equal(x, y)
+
+
+def _codewords_reference(symbols, lengths) -> np.ndarray:
+    """The canonical codewords one symbol at a time, in (length, symbol)
+    order: shift up to each new length, take the low 64 bits, add one."""
+    order = np.lexsort((symbols, lengths))
+    sorted_codes, code, prev_len = [], 0, 0
+    for ln in lengths[order].tolist():
+        code <<= ln - prev_len
+        sorted_codes.append(code & ((1 << 64) - 1))
+        code += 1
+        prev_len = ln
+    codes = np.empty(len(symbols), dtype=np.uint64)
+    codes[order] = sorted_codes
+    return codes
+
+
+@st.composite
+def _codebooks(draw):
+    """Sorted distinct int32 symbols, each with a length of 0..90 bits."""
+    symbols = sorted(draw(st.sets(st.integers(-(2**31), 2**31 - 1), max_size=80)))
+    lengths = draw(st.lists(st.integers(0, 90), min_size=len(symbols), max_size=len(symbols)))
+    return np.array(symbols, np.int64), np.array(lengths, np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_codebooks())
+@example((np.arange(70, dtype=np.int64), np.arange(70, dtype=np.int64)))
+def test_from_lengths_matches_per_symbol_reference(book):
+    """Any lengths, Kraft-valid or not (a stored codebook holds what it
+    holds): the per-length table gives every codeword the per-symbol walk
+    does, over 57 and over 64 bits too."""
+    symbols, lengths = book
+    c = huffman.from_lengths(symbols, lengths, np.ones(len(symbols), np.int64))
+    assert c.codes.dtype == np.uint64
+    np.testing.assert_array_equal(c.codes, _codewords_reference(symbols, lengths))
+
+
+@pytest.mark.parametrize("k", [34, 58, 66, 70])
+def test_from_lengths_matches_reference_on_long_huffman_codes(k):
+    """Fibonacci counts: complete codes up to k-1 bits, past the decoder's
+    57-bit window (k = 58) and the encoder's 64-bit words (k = 66, 70)."""
+    symbols = np.arange(k, dtype=np.int64) * 3 - 7
+    c = _from_histogram(symbols, _fibonacci(k))
+    assert int(c.lengths.max()) == k - 1
+    np.testing.assert_array_equal(c.codes, _codewords_reference(symbols, c.lengths))
 
 
 @st.composite

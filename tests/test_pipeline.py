@@ -1,4 +1,5 @@
 """End-to-end SZ3-lite pipeline tests (compression substrate, Fig. 2)."""
+import dataclasses
 import struct
 import zlib
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sci_data
-from repro.compressor import pipeline
+from repro.compressor import huffman, pipeline
 from repro.compressor.predictors import PREDICTORS
 
 PREDS = ["lorenzo", "interp", "regression"]
@@ -117,7 +118,7 @@ def test_payload_is_real_bitstream():
     d = sci_data.generate("CESM", "TS", "test")
     rng = float(d.max() - d.min())
     c = pipeline.compress(d, "lorenzo", 1e-2 * rng)
-    assert len(c.payload) == -(-c.huffman_payload_bits // 8)
+    assert len(c.payload) == -(-c.code.total_bits // 8)
     # decoding the payload recovers the code stream
     np.testing.assert_array_equal(
         c.code.decode(c.payload, c.codes.size), c.codes
@@ -256,6 +257,30 @@ def test_to_bytes_rejects_more_than_four_dims():
     c = pipeline.compress(np.ones((2, 1, 2, 1, 2)), "lorenzo", 0.1)
     with pytest.raises(ValueError):
         pipeline.to_bytes(c)
+
+
+def test_overhead_bytes_charges_the_stored_codebook_entry():
+    """Each distinct code costs its codebook entry, int32 symbol + uint8
+    code length, as ``to_bytes`` writes it."""
+    assert pipeline.overhead_bytes(10, 12) == pipeline.HEADER_BYTES + 10 * 5 + 12
+    c = pipeline.compress(sci_data.generate("SCALE", "PRES", "test"), "lorenzo", 1.0)
+    blob = pipeline.to_bytes(c)
+    assert len(blob) - len(c.body) == pipeline.overhead_bytes(len(c.code.symbols), c.side_bytes)
+
+
+def test_from_bytes_rejects_codebook_symbol_the_body_never_uses():
+    """The encoder lists only the codes it counted: a codebook with one
+    more symbol than the bitstream decodes to is refused, not read back
+    with a zero count."""
+    c = pipeline.compress(np.zeros((4, 4)), "lorenzo", 0.1)
+    assert c.code.symbols.tolist() == [0]
+    code = huffman.build(np.array([0, 0, 0, 5]))  # lengths 1, 1: valid
+    padded = dataclasses.replace(c, code=code, payload=code.encode(c.codes))
+    with pytest.raises(ValueError, match="never uses"):
+        pipeline.from_bytes(pipeline.to_bytes(padded))
+    used = dataclasses.replace(c, code=code, payload=code.encode(np.r_[c.codes[:-1], 5]))
+    back = pipeline.from_bytes(pipeline.to_bytes(used))
+    assert back.code.counts.tolist() == [15, 1]
 
 
 def _blob(zipped: bool) -> bytes:

@@ -70,6 +70,31 @@ def test_quantize_rejects_bad_eb():
                 models[predictor].estimate(eb)
 
 
+def test_quantize_rejects_codes_outside_int64():
+    """A rounded value of 2**63 or more would wrap to INT64_MIN in the
+    cast; the largest code below it and -2**63 itself still convert."""
+    top = np.nextafter(2.0**63, 0.0)
+    np.testing.assert_array_equal(
+        quantize(np.array([top, -(2.0**63)]), 0.5), [int(top), np.iinfo(np.int64).min]
+    )
+    for err in (2.0**63, -np.nextafter(2.0**63, np.inf), np.inf):
+        with pytest.raises(ValueError, match="int64"):
+            quantize(np.array([0.0, err]), 0.5)
+
+
+def test_lorenzo_codes_outside_int64_raise_in_compress_and_model():
+    """1e12 + N(0, 1e-3) at eb = range·1e-9: Lorenzo's lattice index of
+    each point passes 2**63, so compressing raises instead of writing
+    wrapped codes (read back 1e12 off), and so does the model's estimate."""
+    d = 1e12 + np.random.default_rng(0).normal(scale=1e-3, size=(8, 8, 8))
+    eb = float(d.max() - d.min()) * 1e-9
+    with pytest.raises(ValueError, match="int64"):
+        pipeline.compress(d, "lorenzo", eb)
+    model = RatioQualityModel(d, "lorenzo", seed=0)
+    with pytest.raises(ValueError, match="int64"):
+        model.estimate(eb)
+
+
 def test_quantize_dequantize_idempotent():
     """Quantizing reconstructed errors again is the identity."""
     rng = np.random.default_rng(1)
