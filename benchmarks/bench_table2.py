@@ -49,6 +49,15 @@ def test_trial_single_eb(benchmark, rtm, vrange):
     benchmark(pipeline.measure, rtm, "lorenzo", 1e-3 * vrange)
 
 
+def test_trial_sweep(benchmark, rtm, vrange):
+    """One chunk's trial pass of the Table II job: the bench RTM field
+    through ``pipeline.trials`` at every ``EB_SWEEP_REL`` bound, with SSIM
+    (one check and one reference of the field, 7 trials)."""
+    ebs = [r * vrange for r in EB_SWEEP_REL]
+    out = benchmark(lambda: list(pipeline.trials(rtm, "lorenzo", ebs, with_ssim=True)))
+    assert [m["eb_abs"] for m in out] == ebs
+
+
 def test_model_invert_bitrate(benchmark, rtm):
     m = RatioQualityModel(rtm, "lorenzo", seed=7)
     benchmark(m.error_bound_for_bitrate, 2.0)

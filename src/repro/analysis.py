@@ -5,9 +5,11 @@ These are the *measured* counterparts of the quality model in
 derivation (Eq. 16) starts from, with the standard constants
 ``C3=(K2·range)²`` (variance term) and ``C4=(K1·range)²`` (mean term).
 
-``judge`` is the one judgement of a reconstruction: every trial (Table II's
-measurements, the dump's trial-and-error loop and rank rows) takes its MSE,
-max error, PSNR and SSIM from it, and ``psnr_db`` is the one measured Eq. 14
+``reference(orig).judge(recon)`` is the one judgement of a reconstruction:
+every trial (Table II's measurements, the dump's trial-and-error loop and
+rank rows) takes its MSE, max error, PSNR and SSIM from it, the trials of
+one field from one reference (``pipeline.trials``), and ``judge`` is the
+one-reconstruction case; ``psnr_db`` is the one measured Eq. 14
 (the dump recombines its snapshot PSNR with it). ``psnr`` and
 ``ssim_global`` read one key of ``judge``.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "judge", "psnr", "psnr_db", "ssim_global", "power_spectrum", "spectrum_rel_error",
+    "judge", "reference", "psnr", "psnr_db", "ssim_global", "power_spectrum", "spectrum_rel_error",
     "value_range",
 ]
 
@@ -42,33 +44,60 @@ def psnr_db(value_range: float, mse: float) -> float:
     return float(10.0 * np.log10(value_range * value_range / mse))
 
 
+class _Reference:
+    """One original field prepared once for judging its reconstructions:
+    its float64 view and value range and, for SSIM, its mean, centred
+    field and variance."""
+
+    def __init__(self, orig: np.ndarray, with_ssim: bool) -> None:
+        self.orig = np.asarray(orig, dtype=np.float64)
+        self.value_range = value_range(self.orig)
+        self.with_ssim = with_ssim
+        if with_ssim:
+            o = self.orig.ravel()
+            self.mean = o.mean()
+            self.centred = o - self.mean
+            self.var = o.var()
+
+    def judge(self, recon: np.ndarray) -> dict:
+        """The measured quality of ``recon`` against the field: ``mse``,
+        ``max_err`` (max point-wise absolute error), ``psnr`` (``psnr_db``)
+        and ``ssim`` (``ssim_global``'s Eq. 16, NaN unless ``with_ssim``),
+        from one error field."""
+        r = np.asarray(recon, dtype=np.float64)
+        err = np.abs(self.orig - r)
+        max_err = float(np.max(err))
+        mse = float(np.mean(np.square(err, out=err)))  # |e|² == e² exactly
+        rng = self.value_range
+        ssim = float("nan")
+        if self.with_ssim:
+            ssim = 1.0  # Eq. 16 is 0/0 for an exact reconstruction or no range
+            if rng != 0 and max_err != 0:
+                r = r.ravel()
+                c4 = (_K1 * rng) ** 2  # mean (luminance) constant
+                c3 = (_K2 * rng) ** 2  # variance (contrast/structure) constant
+                mu_o, mu_r = self.mean, r.mean()
+                rc = r - mu_r
+                cov = float(np.mean(self.centred * rc))
+                var_r = np.mean(np.square(rc, out=rc))  # r.var(), bit for bit
+                ssim = float(
+                    (2 * mu_o * mu_r + c4)
+                    * (2 * cov + c3)
+                    / ((mu_o**2 + mu_r**2 + c4) * (self.var + var_r + c3))
+                )
+        return {"mse": mse, "max_err": max_err, "psnr": psnr_db(rng, mse), "ssim": ssim}
+
+
+def reference(orig: np.ndarray, with_ssim: bool = False) -> _Reference:
+    """``orig`` prepared once for judging any number of its reconstructions
+    with ``.judge(recon)``: the trials of one field share one reference."""
+    return _Reference(orig, with_ssim)
+
+
 def judge(orig: np.ndarray, recon: np.ndarray, with_ssim: bool = False) -> dict:
-    """The measured quality of ``recon`` against ``orig``: ``mse``,
-    ``max_err`` (max point-wise absolute error), ``psnr`` (``psnr_db``) and
-    ``ssim`` (``ssim_global``'s Eq. 16, NaN unless ``with_ssim``), all from
-    one float64 view, one error field and one value range."""
-    o = np.asarray(orig, dtype=np.float64)
-    r = np.asarray(recon, dtype=np.float64)
-    err = o - r
-    mse = float(np.mean(err**2))
-    max_err = float(np.max(np.abs(err)))
-    rng = value_range(o)
-    ssim = float("nan")
-    if with_ssim:
-        ssim = 1.0  # Eq. 16 is 0/0 for an exact reconstruction or no range
-        if rng != 0 and max_err != 0:
-            o, r = o.ravel(), r.ravel()
-            c4 = (_K1 * rng) ** 2  # mean (luminance) constant
-            c3 = (_K2 * rng) ** 2  # variance (contrast/structure) constant
-            mu_o, mu_r = o.mean(), r.mean()
-            var_o, var_r = o.var(), r.var()
-            cov = float(np.mean((o - mu_o) * (r - mu_r)))
-            ssim = float(
-                (2 * mu_o * mu_r + c4)
-                * (2 * cov + c3)
-                / ((mu_o**2 + mu_r**2 + c4) * (var_o + var_r + c3))
-            )
-    return {"mse": mse, "max_err": max_err, "psnr": psnr_db(rng, mse), "ssim": ssim}
+    """The measured quality of ``recon`` against ``orig``:
+    ``reference(orig, with_ssim).judge(recon)``."""
+    return reference(orig, with_ssim).judge(recon)
 
 
 def psnr(orig: np.ndarray, recon: np.ndarray) -> float:

@@ -3,9 +3,10 @@ ground-truth measurement.
 
 ``compress`` runs predictor → quantizer → Huffman (+ the lossless stage of
 ``rle``) and returns exact compressed sizes; ``decompress`` reconstructs the
-data (error-bounded) from the in-memory codes; ``measure`` produces the
-measured bit-rates and, through ``analysis.judge``, the MSE, max error, PSNR
-and (optionally) SSIM the model is evaluated against in Table II. The
+data (error-bounded) from the in-memory codes; ``trials`` produces, bound
+after bound, the measured bit-rates and, through one ``analysis.reference``
+of the field, the MSE, max error, PSNR and (optionally) SSIM the model is
+evaluated against in Table II (``measure`` is its one-bound case). The
 measured FFT distortion of Fig. 8 is ``analysis.spectrum_rel_error`` on the
 reconstruction.
 
@@ -17,8 +18,8 @@ float64 eb, uint32 symbol count k, 4 × uint32 shape zero-padded, 1 pad
 byte); codebook (k × int32 symbol + uint8 code length, 5 B/symbol; the
 canonical codewords follow from the lengths); float32 side data (interp
 anchors / regression coefficients, ``side_shape``); body
-(``rle.lossless_bytes(Huffman bitstream)``, or the bitstream when that is no
-smaller). ``nbytes_huffman`` charges the bitstream in place of the body. The
+(``rle.lossless_bytes(Huffman bitstream)``, one Zstandard frame, or the
+bitstream when that is no smaller). ``nbytes_huffman`` charges the bitstream in place of the body. The
 model mirrors both.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .predictors import get_predictor
 from .quantizer import check_bound, check_field, p0_of
 
 __all__ = [
-    "CompressedField", "compress", "decompress", "measure", "to_bytes", "from_bytes",
+    "CompressedField", "compress", "decompress", "measure", "trials", "to_bytes", "from_bytes",
     "overhead_bytes", "HEADER_BYTES",
 ]
 
@@ -109,6 +111,11 @@ def compress(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField
     Raises ``ValueError`` for an empty or non-finite field (``check_field``)
     and for a bound outside ``0 < eb_abs < inf`` (``check_bound``)."""
     check_field(data)
+    return _encode(data, predictor, eb_abs)
+
+
+def _encode(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField:
+    """``compress`` of a field that ``check_field`` has passed."""
     check_bound(eb_abs)
     pred = get_predictor(predictor)
     codes, extras = pred.compress(data, eb_abs)
@@ -191,22 +198,37 @@ def from_bytes(blob: bytes) -> CompressedField:
     )
 
 
-def measure(data: np.ndarray, predictor: str, eb_abs: float, with_ssim: bool = True) -> dict:
-    """Ground-truth metrics for one (field, predictor, eb) configuration.
+def trials(
+    data: np.ndarray, predictor: str, ebs_abs: Iterable[float], with_ssim: bool = True
+) -> Iterator[dict]:
+    """Ground-truth metrics of ``data`` at each bound of ``ebs_abs``, in
+    order: the trial-and-error baseline's unit of work, a full compression,
+    decompression and post-hoc analysis pass per bound.
 
-    This is the trial-and-error baseline's unit of work: a full compression,
-    decompression and post-hoc analysis pass. The size fields come from the
-    compressed field and ``mse``, ``max_err``, ``psnr`` and ``ssim`` from
-    ``analysis.judge`` (``ssim`` is NaN unless ``with_ssim``).
+    The field is checked once (``check_field``) and prepared once for
+    judging (``analysis.reference``); each trial compresses its float64
+    view. The size fields come from the compressed field and ``mse``,
+    ``max_err``, ``psnr`` and ``ssim`` from the reference's ``judge``
+    (``ssim`` is NaN unless ``with_ssim``). A caller that stops early
+    skips the remaining trials.
     """
-    c = compress(data, predictor, eb_abs)
-    return {
-        "predictor": predictor,
-        "eb_abs": float(eb_abs),
-        "bitrate_huff": c.bitrate(lossless=False),
-        "bitrate_ll": c.bitrate(lossless=True),
-        "nbytes_huff": c.nbytes_huffman,
-        "nbytes_ll": c.nbytes_lossless,
-        "p0": c.p0,
-        **analysis.judge(data, decompress(c), with_ssim),
-    }
+    check_field(data)
+    ref = analysis.reference(data, with_ssim)
+    for eb_abs in ebs_abs:
+        c = _encode(ref.orig, predictor, eb_abs)
+        yield {
+            "predictor": predictor,
+            "eb_abs": float(eb_abs),
+            "bitrate_huff": c.bitrate(lossless=False),
+            "bitrate_ll": c.bitrate(lossless=True),
+            "nbytes_huff": c.nbytes_huffman,
+            "nbytes_ll": c.nbytes_lossless,
+            "p0": c.p0,
+            **ref.judge(decompress(c)),
+        }
+
+
+def measure(data: np.ndarray, predictor: str, eb_abs: float, with_ssim: bool = True) -> dict:
+    """Ground-truth metrics for one (field, predictor, eb) configuration:
+    the one-bound case of ``trials``."""
+    return next(trials(data, predictor, [eb_abs], with_ssim))

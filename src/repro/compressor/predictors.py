@@ -149,24 +149,41 @@ class Lorenzo(_Base):
 
     @staticmethod
     def _forward(a: np.ndarray) -> np.ndarray:
+        """Successive first differences along every axis, the first element
+        of each kept (``np.diff(prepend=0)`` per axis, bit for bit), each
+        axis written into one new array. ``a`` is int64 or float64 and is
+        not modified."""
         for ax in range(a.ndim):
-            a = np.diff(a, axis=ax, prepend=0)
+            d = np.empty_like(a)
+            head, tail, prev = (
+                tuple(slice(*s) if i == ax else slice(None) for i in range(a.ndim))
+                for s in ((0, 1), (1, None), (0, -1))
+            )
+            d[head] = a[head]
+            np.subtract(a[tail], a[prev], out=d[tail])
+            a = d
         return a
 
     @staticmethod
     def _inverse(a: np.ndarray) -> np.ndarray:
-        for ax in range(a.ndim):
-            a = np.cumsum(a, axis=ax)
-        return a
+        """Cumulative sums along every axis (``np.cumsum`` per axis, bit for
+        bit) in place on one copy of ``a``, int64 for integer codes:
+        row by row on the leading axes, one in-place ``cumsum`` on the
+        last."""
+        k = np.array(a, dtype=np.result_type(a, np.int64))
+        for ax in range(k.ndim - 1):
+            rows = np.moveaxis(k, ax, 0)
+            for i in range(1, rows.shape[0]):
+                rows[i] += rows[i - 1]
+        np.cumsum(k, axis=-1, out=k)
+        return k
 
     def compress(self, data, eb):
-        k = quantize(_as64(data), eb)  # lattice index of each point
-        q = self._forward(k)
+        q = self._forward(quantize(data, eb))  # of each point's lattice index
         return q.ravel(), np.empty(0, np.float32)
 
     def decompress(self, codes, shape, eb, side):
-        k = self._inverse(codes.reshape(shape).astype(np.int64))
-        return dequantize(k, eb)
+        return dequantize(self._inverse(codes.reshape(shape)), eb)
 
     def _strata(self, d):
         # §III-D-1: points; each one's error is the finite difference

@@ -41,9 +41,12 @@ def check_field(data: np.ndarray) -> None:
 
 def quantize(err: np.ndarray, eb: float) -> np.ndarray:
     """Prediction errors → integer quantization codes (bin width 2·eb).
-    Raises ``ValueError`` for a code outside int64, which the cast wraps."""
+    ``err`` is divided into one float64 buffer, rounded in place, so a raw
+    float32 field needs no float64 copy first. Raises ``ValueError`` for a
+    code outside int64, which the cast wraps."""
     check_bound(eb)
-    q = np.rint(np.asarray(err, dtype=np.float64) / (2.0 * eb))
+    q = np.divide(err, 2.0 * eb, dtype=np.float64)
+    np.rint(q, out=q)
     if not -(2.0**63) <= q.min(initial=0.0) <= q.max(initial=0.0) < 2.0**63:
         raise ValueError(f"quantization code outside int64 at error bound {eb}")
     return q.astype(np.int64)
@@ -51,7 +54,7 @@ def quantize(err: np.ndarray, eb: float) -> np.ndarray:
 
 def dequantize(codes: np.ndarray, eb: float) -> np.ndarray:
     """Quantization codes → reconstructed prediction errors (bin centres)."""
-    return (2.0 * eb) * np.asarray(codes, dtype=np.float64)
+    return np.multiply(codes, 2.0 * eb, dtype=np.float64)
 
 
 def p0_of(symbols: np.ndarray, counts: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import value_range
+from ..analysis import psnr_db, value_range
 from ..compressor.pipeline import overhead_bytes
 from ..compressor.predictors import get_predictor
 from ..compressor.quantizer import check_bound, check_field, p0_of
@@ -87,7 +87,7 @@ class RatioQualityModel:
             "bitrate_huff": bitrate_huff,
             "bitrate_ll": bitrate_ll,
             "sigma_e2": s2,
-            "psnr": quality_model.psnr_est(self.value_range, s2),
+            "psnr": psnr_db(self.value_range, s2),
             "ssim": quality_model.ssim_est(self.sigma_d2, s2, self.value_range),
         }
 

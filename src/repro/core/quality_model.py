@@ -4,7 +4,9 @@ Estimates the compression-error distribution from the quantizer (uniform
 within non-central bins, concentrated within the central bin — Eqs. 10/11)
 and propagates it through the analysis metrics:
 
-* PSNR (Eq. 12): ``20·log10(range) − 10·log10(σ(E)²)``.
+* PSNR (Eq. 12): ``20·log10(range) − 10·log10(σ(E)²)``, which is the
+  measured Eq. 14 with σ(E)² for the MSE: the model reads it from
+  ``analysis.psnr_db(range, σ(E)²)``.
 * SSIM (Eq. 15): ``(2σ_D² + C3)/(2σ_D² + C3 + σ(E)²)``.
 * FFT power spectrum (§III-E-4): lossy error acts as white noise adding an
   expected ``N·σ(E)²`` of power per mode, plus a cross-term fluctuation of
@@ -22,7 +24,6 @@ __all__ = [
     "sigma_e2_lattice",
     "sigma_e2_interp",
     "sigma_e2",
-    "psnr_est",
     "mse_budget",
     "MSE_HEADROOM",
     "ssim_est",
@@ -124,14 +125,6 @@ def sigma_e2_interp(
     else:
         vq = 0.0
     return (1.0 - q_min) * u + q_min * vq
-
-
-def psnr_est(value_range: float, s2: float) -> float:
-    """Eq. (12); inf with no error (``s2 == 0``) or no range (a constant
-    field, where Eq. (12) is log10(0)), as the measured PSNR."""
-    if s2 <= 0 or value_range == 0:
-        return float("inf")
-    return float(20.0 * np.log10(value_range) - 10.0 * np.log10(s2))
 
 
 def mse_budget(value_range: float, psnr_db: float) -> float:

@@ -25,13 +25,15 @@ __all__ = [
     "MODEL_RMAX",
 ]
 
-#: Eq. (4)/(5) constants, calibrated once against the measured zlib stage on
-#: the synthetic corpus (the paper calibrates C1 against Zstandard): C1 is
-#: the fixed cost in bits of one zero-run token; RMAX caps the effective run
+#: Eq. (4)/(5) constants, fitted by ``jobs/calibrate_model.py`` against the
+#: measured Zstandard stage (``compressor.rle``, level 3) on Table II's
+#: seed-0 bench corpus, as the (C1, RMAX) pair of its grid with the lowest
+#: Table II Huff+LL Err. (``results/tableE7_calibration.csv``). C1 is the
+#: fixed cost in bits of one zero-run token; RMAX caps the effective run
 #: length (real coders cap match lengths / window reach, which bounds the
 #: achievable extra ratio at p0 → 1).
-MODEL_C1_BITS = 5.0
-MODEL_RMAX = 2048.0
+MODEL_C1_BITS = 24.0
+MODEL_RMAX = 4096.0
 
 
 def huffman_bitrate(counts: np.ndarray) -> float:

@@ -7,8 +7,8 @@ rank"). Ranks are not Spark tasks: Spark runs them in
 (``chunks.layout_chunks``), and each rank's phases are timed inside its own
 work, so the rank timings do not depend on how ranks share a task. Inside
 executors each chunk is compressed and its compressed blob
-(``pipeline.to_bytes``: header, codebook, side data and the zlib'd Huffman
-bitstream) is written to its own file on the shared local filesystem (the
+(``pipeline.to_bytes``: header, codebook, side data and the Zstandard frame of
+the Huffman bitstream) is written to its own file on the shared local filesystem (the
 per-rank collective-write role of parallel HDF5). The bytes written are the
 bytes accounted (``nbytes``), and ``read_partition_file`` decodes them back.
 Each rank's timing row returns to the driver as a pickled dict
@@ -29,7 +29,9 @@ Three methods, as in Fig. 14:
   constant snapshot has no budget: both in-situ methods take the strictest
   candidate.
 
-Every trial and every rank's row is judged by ``analysis.judge``; the
+The TAE loop and the offline study run their trials through
+``pipeline.trials`` (one reference of the field per rank or snapshot), and
+each rank's row is judged by ``analysis.judge``; the
 snapshot PSNR recombines the ranks' MSE and extrema with
 ``analysis.psnr_db``. Per-phase wall time of a snapshot is the **max over
 ranks** (the parallel barrier), as in an MPI collective dump.
@@ -138,10 +140,10 @@ def dump_snapshot(
         elif method == "tae":
             t0 = time.perf_counter()
             eb = cand[-1]  # fallback: strictest candidate
-            for eb_try in cand:  # largest (cheapest) first
-                rec = pipeline.decompress(pipeline.compress(arr, predictor, eb_try))
-                if analysis.judge(arr, rec)["mse"] <= mse_budget:
-                    eb = eb_try
+            # largest (cheapest) candidate first; stop at the first that fits
+            for m in pipeline.trials(arr, predictor, cand, with_ssim=False):
+                if m["mse"] <= mse_budget:
+                    eb = m["eb_abs"]
                     break
             t_opt = time.perf_counter() - t0
         else:  # "model"
@@ -213,10 +215,9 @@ def offline_worstcase_abs_eb(
     ok = set(candidates_abs)
     for t in timesteps:
         d = rtm_snapshot(t, shape)
-        for eb in list(ok):
-            m = pipeline.measure(d, predictor, eb, with_ssim=False)
+        for m in pipeline.trials(d, predictor, sorted(ok), with_ssim=False):
             if m["psnr"] < target_psnr_db:
-                ok.discard(eb)
+                ok.discard(m["eb_abs"])
     return max(ok) if ok else min(candidates_abs)
 
 

@@ -64,8 +64,7 @@ def quality_targeted(
     worst_abs = min(ebs.values())
     rows = []
     for t, d in snapshots.items():
-        ours = pipeline.measure(d, models[t].predictor, ebs[t], with_ssim=False)
-        trad = pipeline.measure(d, models[t].predictor, worst_abs, with_ssim=False)
+        ours, trad = pipeline.trials(d, models[t].predictor, [ebs[t], worst_abs], with_ssim=False)
         rows.append(
             {
                 "t": t,

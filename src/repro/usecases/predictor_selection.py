@@ -38,7 +38,7 @@ def rd_curves(
     out: dict[str, dict] = {}
     for p in predictors:
         if measured:
-            ms = [pipeline.measure(data, p, ebr * vrange, with_ssim=False) for ebr in ebs_rel]
+            ms = list(pipeline.trials(data, p, [ebr * vrange for ebr in ebs_rel], with_ssim=False))
             c = {k: [m[k] for m in ms] for k in ("bitrate_ll", "psnr")}
         else:
             model = RatioQualityModel(data, p, seed=seed)

@@ -92,6 +92,62 @@ def test_judge_agrees_with_each_metric(shape, noise):
         assert 0 < j["mse"] and np.isfinite(j["psnr"]) and j["ssim"] < 1
 
 
+def _judge_formula(orig, recon, with_ssim):
+    """``analysis.judge`` as it was written before it took a reference:
+    the float64 views, the error field and SSIM's statistics each computed
+    straight from both fields."""
+    o = np.asarray(orig, dtype=np.float64)
+    r = np.asarray(recon, dtype=np.float64)
+    err = o - r
+    mse = float(np.mean(err**2))
+    max_err = float(np.max(np.abs(err)))
+    rng = float(o.max()) - float(o.min())
+    ssim = float("nan")
+    if with_ssim:
+        ssim = 1.0
+        if rng != 0 and max_err != 0:
+            o, r = o.ravel(), r.ravel()
+            c4, c3 = (0.01 * rng) ** 2, (0.03 * rng) ** 2
+            mu_o, mu_r = o.mean(), r.mean()
+            var_o, var_r = o.var(), r.var()
+            cov = float(np.mean((o - mu_o) * (r - mu_r)))
+            ssim = float(
+                (2 * mu_o * mu_r + c4)
+                * (2 * cov + c3)
+                / ((mu_o**2 + mu_r**2 + c4) * (var_o + var_r + c3))
+            )
+    return {"mse": mse, "max_err": max_err, "psnr": analysis.psnr_db(rng, mse), "ssim": ssim}
+
+
+def _same(a: dict, b: dict) -> bool:
+    """Equal floats, key by key, with NaN equal to NaN."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (np.isnan(a[k]) and np.isnan(b[k])) for k in a
+    )
+
+
+@pytest.mark.parametrize("with_ssim", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["noisy", "exact", "constant", "constant noisy"])
+@pytest.mark.parametrize("shape", [(1,), (257,), (17, 19), (5, 1, 9), (2, 3, 5, 7)], ids=str)
+def test_reference_judge_is_the_formula_bit_for_bit(shape, case, dtype, with_ssim):
+    """One reference judges every reconstruction exactly (``==``) as the
+    straight formula does, SSIM on and off, for a constant field and for
+    an exact reconstruction too; ``judge`` is the reference's."""
+    rng = np.random.default_rng(sum(shape))
+    d = (rng.normal(size=shape) * 100 + 3).astype(dtype)
+    if case.startswith("constant"):
+        d = np.full(shape, 2.5, dtype)
+    recons = [d] if case in ("exact", "constant") else [
+        d + s * rng.normal(size=shape) for s in (1e-6, 1e-2, 10.0)
+    ]
+    ref = analysis.reference(d, with_ssim)
+    for r in recons:
+        want = _judge_formula(d, r, with_ssim)
+        assert _same(ref.judge(r), want)
+        assert _same(analysis.judge(d, r, with_ssim), want)
+
+
 @pytest.mark.parametrize("offset", [0.0, 0.5])
 def test_judge_constant_field_psnr_inf(offset):
     """A constant field has no range to scale an error by: PSNR inf and

@@ -7,7 +7,7 @@ from repro import analysis, sci_data
 from repro.compressor import pipeline
 from repro.core import histogram
 from repro.core.model import RatioQualityModel
-from repro.core.quality_model import fft_rel_error_est, mse_budget, psnr_est, sigma_e2_uniform
+from repro.core.quality_model import fft_rel_error_est, mse_budget, sigma_e2_uniform
 
 FIELDS = [("SCALE", "PRES"), ("CESM", "TS"), ("Brown", "pressure")]
 PREDS = ["lorenzo", "interp", "regression"]
@@ -178,7 +178,7 @@ def test_uniform_only_baseline_differs_at_high_eb(field_data):
     _, pk, modes = analysis.power_spectrum(np.asarray(d, np.float64))
 
     def uniform(eb):
-        return psnr_est(m.value_range, sigma_e2_uniform(eb))
+        return analysis.psnr_db(m.value_range, sigma_e2_uniform(eb))
 
     def uniform_fft(eb):  # Fig. 8's baseline, as jobs/table2_accuracy.py computes it
         return fft_rel_error_est(sigma_e2_uniform(eb), m.n_points, pk, modes)

@@ -1,7 +1,6 @@
 """End-to-end SZ3-lite pipeline tests (compression substrate, Fig. 2)."""
 import dataclasses
 import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sci_data
-from repro.compressor import huffman, pipeline
+from repro.compressor import huffman, pipeline, rle
 from repro.compressor.predictors import PREDICTORS
 
 PREDS = ["lorenzo", "interp", "regression"]
@@ -81,6 +80,29 @@ def test_measure_reports_consistent_metrics():
     assert 0 < m["ssim"] <= 1
     assert m["bitrate_ll"] <= m["bitrate_huff"] + 1e-9
     assert 0 <= m["p0"] <= 1
+
+
+@pytest.mark.parametrize("with_ssim", [False, True])
+@pytest.mark.parametrize("pred", PREDS)
+def test_trials_match_measure_at_each_bound(pred, with_ssim):
+    """``trials`` over a sweep yields, bound by bound and in order, exactly
+    what ``measure`` gives at that bound on its own: one check and one
+    reference per field change no result."""
+    d = sci_data.generate("Hurricane", "TC", "test")
+    ebs = [r * float(d.max() - d.min()) for r in (1e-1, 1e-4, 1e-2, 1e-3)]
+    got = list(pipeline.trials(d, pred, ebs, with_ssim))
+    want = [pipeline.measure(d, pred, eb, with_ssim) for eb in ebs]
+    assert [m["eb_abs"] for m in got] == ebs
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        assert all(g[k] == w[k] or (g[k] != g[k] and w[k] != w[k]) for k in g), (g, w)
+
+
+def test_trials_check_the_field_before_the_first_trial():
+    with pytest.raises(ValueError, match="NaN"):
+        next(pipeline.trials(np.array([1.0, np.nan]), "lorenzo", [0.1]))
+    with pytest.raises(ValueError, match="error bound"):
+        next(pipeline.trials(np.ones(4), "lorenzo", [0.0]))
 
 
 def test_measure_without_ssim_gives_nan():
@@ -209,22 +231,27 @@ def test_interp_rejects_float64_anchors_that_float32_misses():
 
 
 def test_blob_with_raw_body():
-    """zlib does not shrink a high-entropy bitstream: the body is stored raw."""
+    """Zstandard does not shrink a high-entropy bitstream: the body is
+    stored raw."""
     d = np.random.default_rng(0).normal(size=(30, 30))
     c = pipeline.compress(d, "lorenzo", 0.01)
-    assert len(zlib.compress(c.payload)) >= len(c.payload)
+    assert len(rle.lossless_bytes(c.payload)) >= len(c.payload)
     assert c.body is c.payload
     blob = _assert_roundtrip(c)
     assert not blob[2] & _LOSSLESS_FLAG
     assert blob.endswith(c.payload)
 
 
-def test_blob_with_zlib_body():
+def test_blob_with_zstd_body():
+    """A compressible bitstream is stored as one Zstandard frame (magic
+    ``28 B5 2F FD``) that declares the bitstream's size."""
     d = sci_data.generate("SCALE", "PRES", "test")
     c = pipeline.compress(d, "lorenzo", 0.1 * float(d.max() - d.min()))
     blob = _assert_roundtrip(c)
     assert blob[2] & _LOSSLESS_FLAG
-    assert blob.endswith(c.body) and c.body == zlib.compress(c.payload)
+    assert blob.endswith(c.body) and c.body == rle.lossless_bytes(c.payload)
+    assert c.body[:4] == bytes.fromhex("28b52ffd") and len(c.body) < len(c.payload)
+    assert rle.inflate(c.body, len(c.payload)) == c.payload
 
 
 def test_blob_with_single_symbol():
@@ -298,9 +325,10 @@ def _patch(blob, offset, fmt, *values):
 
 
 def _rezip(blob, edit):
-    """The zlib blob with a valid zlib body over ``edit(bitstream)``."""
+    """The compressed-body blob with a valid Zstandard body over
+    ``edit(bitstream)``."""
     c = pipeline.from_bytes(blob)
-    body = zlib.compress(edit(c.payload))
+    body = rle.lossless_bytes(edit(c.payload))
     return blob[: len(blob) - len(c.body)] + body
 
 
@@ -325,6 +353,8 @@ _MUTATIONS = {
 }
 
 
+# "zlib" names the case with a lossless-coded (now Zstandard) body; the ids
+# are kept so that each case keeps its name across the codec change
 @pytest.mark.parametrize("zipped", [False, True], ids=["raw", "zlib"])
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
 def test_from_bytes_rejects_malformed_blob(mutation, zipped):
@@ -334,11 +364,35 @@ def test_from_bytes_rejects_malformed_blob(mutation, zipped):
         pipeline.from_bytes(_MUTATIONS[mutation](blob))
 
 
-def test_from_bytes_rejects_corrupt_zlib_body():
-    blob = bytearray(_blob(zipped=True))
-    blob[-3] ^= 0xFF  # inside the adler32 trailer
-    with pytest.raises(ValueError, match="zlib"):
-        pipeline.from_bytes(bytes(blob))
+def _frame_edits(body: bytes) -> dict:
+    """Damaged copies of one Zstandard frame (RFC 8878 §3.1.1) → the error
+    each must raise."""
+    fhd = body[4]
+    assert fhd >> 6 or fhd >> 5 & 1  # the encoder writes Frame_Content_Size
+    no_fcs = bytearray(body)
+    no_fcs[4] = fhd & 0x1F  # no size field, and not single-segment
+    return {
+        "bad magic": (b"\0" + body[1:], "corrupt"),
+        "scrambled block": (body[:12] + body[:11:-1], "corrupt"),
+        "truncated": (body[:-1], "truncated"),
+        "trailing byte": (body + b"\0", "followed by bytes"),
+        "trailing frame": (body + rle.lossless_bytes(b""), "followed by bytes"),
+        "no content size": (bytes(no_fcs), "Frame_Content_Size"),
+    }
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["bad magic", "scrambled block", "truncated", "trailing byte", "trailing frame", "no content size"],
+)
+def test_from_bytes_rejects_corrupt_zstd_body(edit):
+    """A body that is not exactly one whole, well-formed Zstandard frame
+    declaring its content size is refused, before any Huffman decoding."""
+    blob = _blob(zipped=True)
+    c = pipeline.from_bytes(blob)
+    body, error = _frame_edits(c.body)[edit]
+    with pytest.raises(ValueError, match=error):
+        pipeline.from_bytes(blob[: len(blob) - len(c.body)] + body)
 
 
 @pytest.mark.parametrize(

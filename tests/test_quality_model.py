@@ -105,19 +105,20 @@ def test_sigma_interp_empty_sample():
     ) == 0.0
 
 
-def test_psnr_est_matches_injected_uniform_noise():
-    """Inject uniform ±eb noise and compare Eq. (12) with measured PSNR."""
+def test_psnr_db_matches_injected_uniform_noise():
+    """Inject uniform ±eb noise and compare Eq. (12), ``psnr_db`` of the
+    uniform σ(E)², with the measured PSNR."""
     rng = np.random.default_rng(3)
     d = rng.normal(size=(64, 64)) * 10
     eb = 0.05
     noisy = d + rng.uniform(-eb, eb, d.shape)
     vrange = float(d.max() - d.min())
-    est = Q.psnr_est(vrange, Q.sigma_e2_uniform(eb))
+    est = analysis.psnr_db(vrange, Q.sigma_e2_uniform(eb))
     assert est == pytest.approx(analysis.psnr(d, noisy), abs=0.3)
 
 
-def test_psnr_est_zero_error_infinite():
-    assert Q.psnr_est(10.0, 0.0) == float("inf")
+def test_psnr_db_zero_error_infinite():
+    assert analysis.psnr_db(10.0, 0.0) == float("inf")
 
 
 def test_ssim_est_matches_injected_uniform_noise():
