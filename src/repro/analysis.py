@@ -63,10 +63,10 @@ class _Reference:
         """The measured quality of ``recon`` against the field: ``mse``,
         ``max_err`` (max point-wise absolute error), ``psnr`` (``psnr_db``)
         and ``ssim`` (``ssim_global``'s Eq. 16, NaN unless ``with_ssim``),
-        from one error field."""
+        from one error field, whose buffer SSIM's covariance reuses."""
         r = np.asarray(recon, dtype=np.float64)
-        err = np.abs(self.orig - r)
-        max_err = float(np.max(err))
+        err = np.subtract(self.orig, r)
+        max_err = float(np.max(np.abs(err, out=err)))
         mse = float(np.mean(np.square(err, out=err)))  # |e|² == e² exactly
         rng = self.value_range
         ssim = float("nan")
@@ -78,7 +78,7 @@ class _Reference:
                 c3 = (_K2 * rng) ** 2  # variance (contrast/structure) constant
                 mu_o, mu_r = self.mean, r.mean()
                 rc = r - mu_r
-                cov = float(np.mean(self.centred * rc))
+                cov = float(np.mean(np.multiply(self.centred, rc, out=err.ravel())))
                 var_r = np.mean(np.square(rc, out=rc))  # r.var(), bit for bit
                 ssim = float(
                     (2 * mu_o * mu_r + c4)

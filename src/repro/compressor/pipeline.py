@@ -19,8 +19,8 @@ byte); codebook (k × int32 symbol + uint8 code length, 5 B/symbol; the
 canonical codewords follow from the lengths); float32 side data (interp
 anchors / regression coefficients, ``side_shape``); body
 (``rle.lossless_bytes(Huffman bitstream)``, one Zstandard frame, or the
-bitstream when that is no smaller). ``nbytes_huffman`` charges the bitstream in place of the body. The
-model mirrors both.
+bitstream when that is no smaller). ``nbytes_huffman`` charges the
+bitstream in place of the body. The model mirrors both.
 """
 from __future__ import annotations
 

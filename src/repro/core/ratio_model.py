@@ -32,8 +32,8 @@ __all__ = [
 #: fixed cost in bits of one zero-run token; RMAX caps the effective run
 #: length (real coders cap match lengths / window reach, which bounds the
 #: achievable extra ratio at p0 → 1).
-MODEL_C1_BITS = 24.0
-MODEL_RMAX = 4096.0
+MODEL_C1_BITS = 8.0
+MODEL_RMAX = 8192.0
 
 
 def huffman_bitrate(counts: np.ndarray) -> float:

@@ -7,9 +7,9 @@ rank"). Ranks are not Spark tasks: Spark runs them in
 (``chunks.layout_chunks``), and each rank's phases are timed inside its own
 work, so the rank timings do not depend on how ranks share a task. Inside
 executors each chunk is compressed and its compressed blob
-(``pipeline.to_bytes``: header, codebook, side data and the Zstandard frame of
-the Huffman bitstream) is written to its own file on the shared local filesystem (the
-per-rank collective-write role of parallel HDF5). The bytes written are the
+(``pipeline.to_bytes``: header, codebook, side data and the Zstandard frame
+of the Huffman bitstream) is written to its own file on the shared local
+filesystem (the per-rank collective-write role of parallel HDF5). The bytes written are the
 bytes accounted (``nbytes``), and ``read_partition_file`` decodes them back.
 Each rank's timing row returns to the driver as a pickled dict
 (``per_chunk(...).collect()``) and the rows become one pandas frame: the dump

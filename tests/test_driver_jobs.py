@@ -29,3 +29,24 @@ def test_table1_job_runs_without_pyspark():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["table1_datasets", "10"]
+
+
+def test_calibration_scores_a_pair_as_the_table2_job_does():
+    """``calibrate_model.score`` at the constants in use reads the averages
+    of the committed test-scale Table II, and the committed Table E7 lists
+    the constants in use as its best pair."""
+    import pandas as pd
+
+    from repro.core import ratio_model
+
+    sys.path.insert(0, str(ROOT / "jobs"))
+    import calibrate_model
+
+    got = calibrate_model.score(
+        calibrate_model.corpus_trials("test"), ratio_model.MODEL_C1_BITS, ratio_model.MODEL_RMAX
+    )
+    table2 = pd.read_csv(ROOT / "results" / "table2_accuracy_test.csv").iloc[-1]
+    for col in ("huff_err", "lossless_err", "huff_ll_err"):
+        assert round(got[col], 2) == table2[col], col
+    best = pd.read_csv(ROOT / "results" / "tableE7_calibration.csv").iloc[0]
+    assert (best["c1_bits"], best["rmax"]) == (ratio_model.MODEL_C1_BITS, ratio_model.MODEL_RMAX)
