@@ -1,6 +1,9 @@
 """Benchmark for Table E1 (Fig. 9): full 7-candidate optimization — our
-model vs trial-and-error — on one bench-scale RTM snapshot. The ratio of
-the two benchmark means is the paper's headline speedup (18.7× there)."""
+model vs trial-and-error — on one whole bench-scale RTM snapshot, on the
+driver. The ratio of the two benchmark means is a one-field check of the
+paper's headline speedup (18.7× there). Table E1 itself comes from the
+Table II job (``jobs/table2_accuracy.py``): the stage seconds that the same
+executor pass records per chunk, over all 17 fields."""
 import numpy as np
 import pytest
 

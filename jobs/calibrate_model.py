@@ -3,8 +3,8 @@
 ``ratio_model.MODEL_C1_BITS`` (bits per zero-run token) and
 ``ratio_model.MODEL_RMAX`` (the cap on the mean zero-run length) are the
 only fitted constants of the ratio model's lossless term. This script
-refits them against the measured lossless stage (``rle.lossless_bytes``)
-on Table II's own inputs: the seed-0 bench corpus, 17 fields x
+refits them against the measured lossless stage (each trial's
+``bitrate_ll``) on Table II's own inputs: the seed-0 bench corpus, 17 fields x
 ``table2_accuracy.N_CHUNKS`` chunks, Lorenzo, the 7 bounds of
 ``EB_SWEEP_REL``, model seed 7.
 

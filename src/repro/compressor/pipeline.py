@@ -6,8 +6,9 @@ ground-truth measurement.
 data (error-bounded) from the in-memory codes; ``trials`` produces, bound
 after bound, the measured bit-rates and, through one ``analysis.reference``
 of the field, the MSE, max error, PSNR and (optionally) SSIM the model is
-evaluated against in Table II (``measure`` is its one-bound case). The
-measured FFT distortion of Fig. 8 is ``analysis.spectrum_rel_error`` on the
+evaluated against in Table II (``measure`` is its one-bound case), each
+trial with the wall-clock seconds of its stages (Table E1). The measured
+FFT distortion of Fig. 8 is ``analysis.spectrum_rel_error`` on the
 reconstruction.
 
 ``to_bytes`` writes the one compressed-byte format (an SZ3-style container,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -70,6 +72,8 @@ class CompressedField:
     payload: bytes  # packed Huffman bitstream
     code: huffman.HuffmanCode
     side_bytes: int
+    predict_s: float = 0.0  # seconds of prediction + quantization (``_encode``)
+    huffman_s: float = 0.0  # seconds of Huffman build + encode (``_encode``)
     n_points: int = field(init=False)
 
     def __post_init__(self):
@@ -115,12 +119,16 @@ def compress(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField
 
 
 def _encode(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField:
-    """``compress`` of a field that ``check_field`` has passed."""
+    """``compress`` of a field that ``check_field`` has passed, timing its
+    two stages."""
     check_bound(eb_abs)
     pred = get_predictor(predictor)
+    t0 = time.perf_counter()
     codes, extras = pred.compress(data, eb_abs)
+    t1 = time.perf_counter()
     code = huffman.build(codes)
     payload = code.encode(codes)
+    t2 = time.perf_counter()
     return CompressedField(
         predictor=predictor,
         eb_abs=float(eb_abs),
@@ -130,6 +138,8 @@ def _encode(data: np.ndarray, predictor: str, eb_abs: float) -> CompressedField:
         payload=payload,
         code=code,
         side_bytes=pred.side_bytes(tuple(data.shape)),
+        predict_s=t1 - t0,
+        huffman_s=t2 - t1,
     )
 
 
@@ -209,13 +219,23 @@ def trials(
     judging (``analysis.reference``); each trial compresses its float64
     view. The size fields come from the compressed field and ``mse``,
     ``max_err``, ``psnr`` and ``ssim`` from the reference's ``judge``
-    (``ssim`` is NaN unless ``with_ssim``). A caller that stops early
-    skips the remaining trials.
+    (``ssim`` is NaN unless ``with_ssim``). The trial's wall-clock seconds
+    follow, stage by stage: ``predict_s`` (prediction + quantization),
+    ``huffman_s`` (Huffman build + encode), ``lossless_s`` (the ``body``),
+    ``decompress_s`` and ``judge_s``. A caller that stops early skips the
+    remaining trials.
     """
     check_field(data)
     ref = analysis.reference(data, with_ssim)
     for eb_abs in ebs_abs:
         c = _encode(ref.orig, predictor, eb_abs)
+        t0 = time.perf_counter()
+        c.body  # the lossless stage, cached on the field
+        t1 = time.perf_counter()
+        rec = decompress(c)
+        t2 = time.perf_counter()
+        quality = ref.judge(rec)
+        t3 = time.perf_counter()
         yield {
             "predictor": predictor,
             "eb_abs": float(eb_abs),
@@ -224,7 +244,12 @@ def trials(
             "nbytes_huff": c.nbytes_huffman,
             "nbytes_ll": c.nbytes_lossless,
             "p0": c.p0,
-            **ref.judge(decompress(c)),
+            **quality,
+            "predict_s": c.predict_s,
+            "huffman_s": c.huffman_s,
+            "lossless_s": t1 - t0,
+            "decompress_s": t2 - t1,
+            "judge_s": t3 - t2,
         }
 
 

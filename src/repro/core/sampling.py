@@ -46,7 +46,7 @@ def sample_fidelity(data: np.ndarray, predictor: str, sample) -> dict:
     """``sample_error_report`` of a drawn ``sample``: anything with its
     ``errors`` and ``weights``, a ``SampledErrors`` or a model's own."""
     full = get_predictor(predictor).prediction_errors(data)
-    std_full = weighted_std(full, np.ones(full.size))
+    std_full = float(np.std(full)) if full.size else 0.0
     std_samp = weighted_std(sample.errors, sample.weights)
     rng = value_range(data)
     return {

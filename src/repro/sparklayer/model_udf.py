@@ -1,16 +1,17 @@
 """Per-partition ratio-quality modeling and ground-truth compression,
 as ``per_chunk`` transformations over chunk RDDs.
 
-Two module-level functions turn one chunk and one predictor into rows:
+Two module-level functions turn one chunk and one predictor into results:
 ``_estimate_rows`` builds the paper's model (one-time 1% sample, then one
-``curve`` sweep over the error bounds) and ``_measure_rows`` runs the real
+``curve`` sweep over the error bounds) and ``_checked_trials`` runs the real
 SZ3-lite compressor (the trial-and-error unit of work) and measures ratio +
 post-hoc quality. ``table2_metrics`` runs both and the chunk's sample report
 (read from the model's own sample) in a single executor pass, one Spark job
 of one stage, and collects one wide row per (chunk, predictor, error bound)
-into a pandas frame: the estimate and the measurement side by side, so the
-Table II job deserializes each chunk once, needs no join and aggregates on
-the driver.
+into a pandas frame: the estimate and the measurement side by side, with
+the seconds of the model's two steps and of the trial's compression
+stages, so the Table II job deserializes each chunk once, needs no join
+and aggregates Tables II and E1 on the driver.
 
 ``estimate_metrics``, ``measure_metrics`` and ``sample_reports`` each run one
 of those streams on its own when called, collect its row dicts and return
@@ -61,13 +62,21 @@ BOUND_RTOL = 1e-9
 #: ``e_``/``m_`` column suffix -> metric of the estimate/measurement row
 _METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "psnr": "psnr", "ssim": "ssim"}
 
+#: Compression stages of a trial (``pipeline.trials``) whose seconds Table
+#: E1 charges to the trial-and-error loop.
+_TAE_STAGES = ("predict_s", "huffman_s", "lossless_s")
+
 #: Columns of a ``table2_metrics`` row: the keys, the model's estimate
-#: (``e_*``) and the compressor's measurement (``m_*``), then the chunk's
-#: sample report.
+#: (``e_*``) and the compressor's measurement (``m_*``), the chunk's sample
+#: report, then the seconds of the model's build and ``curve`` and of the
+#: trial's compression stages.
 _TABLE2_COLUMNS = [
     *_KEYS,
     *(f"{side}_{col}" for side in "em" for col in _METRICS),
     "sample_err",
+    "e_build_s",
+    "e_curve_s",
+    *(f"m_{stage}" for stage in _TAE_STAGES),
 ]
 
 
@@ -102,30 +111,32 @@ def _metric_row(row, arr, predictor, kind, eb_rel, eb_abs, m, seconds) -> dict:
 
 def _estimate_rows(
     row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float], seed: int
-) -> tuple[RatioQualityModel, list[dict]]:
-    """One chunk's model for ``predictor`` and its rows, one per error bound,
-    from one ``curve`` sweep (``seconds`` as in ``estimate_metrics``)."""
+) -> tuple[RatioQualityModel, list[dict], float, float]:
+    """One chunk's model for ``predictor``, its rows, one per error bound,
+    from one ``curve`` sweep (``seconds`` as in ``estimate_metrics``), and
+    the seconds of the model's build and of the sweep."""
     t0 = time.perf_counter()
     model = RatioQualityModel(arr, predictor, seed=seed)
+    t1 = time.perf_counter()
     curve = model.curve(model.abs_bound(np.asarray(ebs_rel)))
-    dt = time.perf_counter() - t0
+    build_s, curve_s = t1 - t0, time.perf_counter() - t1
     rows = []
     for i, ebr in enumerate(ebs_rel):
         est = {k: v[i] for k, v in curve.items()}
-        seconds = dt if i == 0 else 0.0
+        seconds = build_s + curve_s if i == 0 else 0.0
         rows.append(_metric_row(row, arr, predictor, "est", ebr, est["eb_abs"], est, seconds))
-    return model, rows
+    return model, rows, build_s, curve_s
 
 
-def _measure_rows(
+def _checked_trials(
     row, arr: np.ndarray, predictor: str, ebs_rel: Sequence[float]
-) -> Iterator[dict]:
-    """One chunk's ground-truth rows for ``predictor``, one trial per error
-    bound from one ``pipeline.trials`` sweep, each row timed over its own
-    trial; SSIM is measured for the chunks whose ``ndim`` is in
-    ``config.SSIM_NDIMS`` only, as in the paper's Table II. Raises
-    ``ValueError`` naming the chunk and the bound when a trial's measured
-    ``max_err`` exceeds ``eb_abs·(1 + BOUND_RTOL)``: the hard bound."""
+) -> Iterator[tuple[dict, float]]:
+    """One chunk's ``pipeline.trials`` dicts for ``predictor``, one per error
+    bound, each with the wall-clock seconds of its whole trial; SSIM is
+    measured for the chunks whose ``ndim`` is in ``config.SSIM_NDIMS``
+    only, as in the paper's Table II. Raises ``ValueError`` naming the chunk
+    and the bound when a trial's measured ``max_err`` exceeds
+    ``eb_abs·(1 + BOUND_RTOL)``: the hard bound."""
     vrange = value_range(arr)
     ebs_abs = [ebr * vrange for ebr in ebs_rel]
     trials = pipeline.trials(arr, predictor, ebs_abs, with_ssim=arr.ndim in SSIM_NDIMS)
@@ -138,7 +149,7 @@ def _measure_rows(
                 f"{row['dataset']}/{row['field']} chunk {row['chunk_id']} ({predictor}): "
                 f"max error {m['max_err']!r} exceeds the bound {eb_abs!r} (eb_rel {ebr})"
             )
-        yield _metric_row(row, arr, predictor, "meas", ebr, eb_abs, m, dt)
+        yield m, dt
 
 
 def estimate_metrics(
@@ -174,7 +185,8 @@ def measure_metrics(
 
     def fn(row, arr):
         for p in preds:
-            yield from _measure_rows(row, arr, p, ebs)
+            for ebr, (m, dt) in zip(ebs, _checked_trials(row, arr, p, ebs)):
+                yield _metric_row(row, arr, p, "meas", ebr, m["eb_abs"], m, dt)
 
     return _frame(per_chunk(chunks, fn))
 
@@ -204,10 +216,14 @@ def table2_metrics(
     Each row pairs the estimate and the measurement of one (chunk,
     predictor, error bound) and repeats the chunk's ``sample_err``, read
     from the model's own 1% sample (``sample_fidelity``). ``m_ssim`` is NaN
-    where SSIM is not measured (1D/4D chunks). Every trial must hold the
-    hard bound: a measured ``max_err`` above ``eb_abs·(1 + BOUND_RTOL)``
-    raises ``ValueError`` naming the chunk and the bound (``_measure_rows``,
-    in the executor, so the job fails).
+    where SSIM is not measured (1D/4D chunks). ``e_build_s`` and
+    ``e_curve_s`` are the seconds of the model's build and ``curve`` on the
+    first row of a (chunk, predictor) group and 0.0 on the others;
+    ``m_predict_s``, ``m_huffman_s`` and ``m_lossless_s`` are the row's
+    trial's stage seconds. Every trial must hold the hard bound: a measured
+    ``max_err`` above ``eb_abs·(1 + BOUND_RTOL)`` raises ``ValueError``
+    naming the chunk and the bound (``_checked_trials``, in the executor,
+    so the job fails).
     """
     import pandas as pd  # here, not with the module (module docstring)
 
@@ -216,12 +232,14 @@ def table2_metrics(
 
     def fn(row, arr):
         for p in preds:
-            model, estimates = _estimate_rows(row, arr, p, ebs, seed)
+            model, estimates, build_s, curve_s = _estimate_rows(row, arr, p, ebs, seed)
             sample_err = sample_fidelity(arr, p, model)["sample_err"]
-            for e, m in zip(estimates, _measure_rows(row, arr, p, ebs)):
+            for e, (m, _) in zip(estimates, _checked_trials(row, arr, p, ebs)):
                 out = {k: e[k] for k in _KEYS}
                 for col, metric in _METRICS.items():
                     out[f"e_{col}"], out[f"m_{col}"] = e[metric], m[metric]
-                yield out | {"sample_err": sample_err}
+                out |= {"sample_err": sample_err, "e_build_s": build_s, "e_curve_s": curve_s}
+                yield out | {f"m_{stage}": m[stage] for stage in _TAE_STAGES}
+                build_s = curve_s = 0.0  # the model is built once per group
 
     return pd.DataFrame(per_chunk(chunks, fn).collect(), columns=_TABLE2_COLUMNS)

@@ -1,5 +1,6 @@
 """End-to-end SZ3-lite pipeline tests (compression substrate, Fig. 2)."""
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.compressor import huffman, pipeline, rle
 from repro.compressor.predictors import PREDICTORS
 
 PREDS = ["lorenzo", "interp", "regression"]
+STAGE_SECONDS = ("predict_s", "huffman_s", "lossless_s", "decompress_s", "judge_s")
 
 
 @pytest.mark.parametrize("pred", PREDS)
@@ -87,7 +89,7 @@ def test_measure_reports_consistent_metrics():
 def test_trials_match_measure_at_each_bound(pred, with_ssim):
     """``trials`` over a sweep yields, bound by bound and in order, exactly
     what ``measure`` gives at that bound on its own: one check and one
-    reference per field change no result."""
+    reference per field change no result (the stage seconds aside)."""
     d = sci_data.generate("Hurricane", "TC", "test")
     ebs = [r * float(d.max() - d.min()) for r in (1e-1, 1e-4, 1e-2, 1e-3)]
     got = list(pipeline.trials(d, pred, ebs, with_ssim))
@@ -95,7 +97,21 @@ def test_trials_match_measure_at_each_bound(pred, with_ssim):
     assert [m["eb_abs"] for m in got] == ebs
     for g, w in zip(got, want):
         assert g.keys() == w.keys()
-        assert all(g[k] == w[k] or (g[k] != g[k] and w[k] != w[k]) for k in g), (g, w)
+        results = [k for k in g if k not in STAGE_SECONDS]
+        assert all(g[k] == w[k] or (g[k] != g[k] and w[k] != w[k]) for k in results), (g, w)
+
+
+@pytest.mark.parametrize("pred", PREDS)
+def test_trials_and_measure_time_each_stage(pred):
+    """Every trial carries the seconds of its five stages, finite and >= 0;
+    ``compress`` records the first two on the field."""
+    d = sci_data.generate("SCALE", "PRES", "test")
+    eb = 1e-3 * float(d.max() - d.min())
+    for m in [*pipeline.trials(d, pred, [eb, 10 * eb]), pipeline.measure(d, pred, eb)]:
+        assert all(math.isfinite(m[k]) and m[k] >= 0 for k in STAGE_SECONDS), m
+    c = pipeline.compress(d, pred, eb)
+    assert math.isfinite(c.predict_s) and math.isfinite(c.huffman_s)
+    assert min(c.predict_s, c.huffman_s) >= 0
 
 
 def test_trials_check_the_field_before_the_first_trial():

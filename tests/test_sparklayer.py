@@ -303,7 +303,7 @@ def test_table2_metrics_rows_carry_nan_ssim_and_finite_values(spark):
     assert list(wide.columns) == [
         "dataset", "field", "chunk_id", "predictor", "eb_rel",
         "e_huff", "e_ll", "e_psnr", "e_ssim", "m_huff", "m_ll", "m_psnr", "m_ssim",
-        "sample_err",
+        "sample_err", "e_build_s", "e_curve_s", "m_predict_s", "m_huffman_s", "m_lossless_s",
     ]
     assert len(wide) == 2
     assert wide["m_ssim"].isna().all()

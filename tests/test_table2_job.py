@@ -138,7 +138,7 @@ def test_main_reproduces_committed_table(spark, monkeypatch):
         table2_accuracy, "emit", lambda name, pdf, float_fmt="%.4g": emitted.append(name)
     )
     out = table2_accuracy.main(spark, "test")
-    assert emitted == ["table2_accuracy_test"]
+    assert emitted == ["table2_accuracy_test", "tableE1_overhead_test"]
     ref = pd.read_csv(CSV, dtype={"dataset": str, "field": str})
     assert list(out.columns) == list(ref.columns)
     assert list(zip(out["dataset"], out["field"])) == list(zip(ref["dataset"], ref["field"]))
@@ -148,6 +148,33 @@ def test_main_reproduces_committed_table(spark, monkeypatch):
                 assert math.isnan(got), (key, c, got)
             else:
                 assert got == pytest.approx(want, rel=0, abs=1e-9), (key, c)
+
+
+def test_main_emits_table_e1_from_the_table2_trials(spark, monkeypatch):
+    """Table E1 has one row per field, in Table II's order, plus the
+    Average, today's columns and totals that are the sums of their stages."""
+    emitted = {}
+    monkeypatch.setattr(
+        table2_accuracy, "emit", lambda name, pdf, float_fmt="%.4g": emitted.update({name: pdf})
+    )
+    table2_accuracy.main(spark, "test")
+    e1 = emitted["tableE1_overhead_test"]
+    assert list(e1.columns) == [
+        "field", "ours_sampling_s", "ours_estimate_s", "ours_total_s",
+        "tae_predictor_s", "tae_huffman_s", "tae_lossless_s", "tae_total_s", "speedup",
+    ]
+    assert list(e1["field"]) == [f"{s.dataset}/{s.field}" for s in sci_data.FIELDS] + ["Average"]
+    secs = e1.drop(columns="field")
+    assert np.isfinite(secs.to_numpy(np.float64)).all() and (secs.to_numpy() > 0).all()
+    np.testing.assert_allclose(
+        e1["tae_total_s"], e1[["tae_predictor_s", "tae_huffman_s", "tae_lossless_s"]].sum(axis=1),
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(
+        e1["ours_total_s"], e1["ours_sampling_s"] + e1["ours_estimate_s"], rtol=1e-12
+    )
+    np.testing.assert_allclose(e1["speedup"], e1["tae_total_s"] / e1["ours_total_s"], rtol=1e-12)
+    np.testing.assert_allclose(secs.iloc[-1, :-1], secs.iloc[:-1, :-1].mean(), rtol=1e-12)
 
 
 class _LocalChunks:
