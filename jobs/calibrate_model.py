@@ -25,7 +25,6 @@ import numpy as np
 import pandas as pd
 
 from repro import sci_data
-from repro.analysis import value_range
 from repro.compressor import pipeline
 from repro.config import EB_SWEEP_REL, SSIM_NDIMS
 from repro.core import ratio_model
@@ -53,10 +52,11 @@ def corpus_trials(scale: str = "bench") -> list[tuple[dict, RatioQualityModel, l
         data = sci_data.generate(spec.dataset, spec.field, scale)
         for row in chunk_rows(spec.dataset, spec.field, data, N_CHUNKS):
             arr = row["values"]
-            ebs = [ebr * value_range(arr) for ebr in EB_SWEEP_REL]
+            model = RatioQualityModel(arr, PREDICTOR, seed=7)
+            ebs = model.abs_bound(np.asarray(EB_SWEEP_REL))
             trials = pipeline.trials(arr, PREDICTOR, ebs, with_ssim=arr.ndim in SSIM_NDIMS)
             keys = {k: row[k] for k in ("dataset", "field", "chunk_id")}
-            out.append((keys, RatioQualityModel(arr, PREDICTOR, seed=7), list(trials)))
+            out.append((keys, model, list(trials)))
     return out
 
 

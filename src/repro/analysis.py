@@ -66,8 +66,8 @@ class _Reference:
         from one error field, whose buffer SSIM's covariance reuses."""
         r = np.asarray(recon, dtype=np.float64)
         err = np.subtract(self.orig, r)
-        max_err = float(np.max(np.abs(err, out=err)))
-        mse = float(np.mean(np.square(err, out=err)))  # |e|² == e² exactly
+        max_err = float(abs(max(err.max(), -err.min())))  # abs: +0.0 for -0.0 errors
+        mse = float(np.mean(np.square(err, out=err)))
         rng = self.value_range
         ssim = float("nan")
         if self.with_ssim:

@@ -7,7 +7,9 @@ data (error-bounded) from the in-memory codes; ``trials`` produces, bound
 after bound, the measured bit-rates and, through one ``analysis.reference``
 of the field, the MSE, max error, PSNR and (optionally) SSIM the model is
 evaluated against in Table II (``measure`` is its one-bound case), each
-trial with the wall-clock seconds of its stages (Table E1). The measured
+trial with the wall-clock seconds of its stages (Table E1). ``check_error``
+is the one hard-bound check, ``max_err <= eb_abs·(1 + BOUND_RTOL)``: every
+trial and every rank the dump writes is held to it. The measured
 FFT distortion of Fig. 8 is ``analysis.spectrum_rel_error`` on the
 reconstruction.
 
@@ -41,7 +43,7 @@ from .quantizer import check_bound, check_field, p0_of
 
 __all__ = [
     "CompressedField", "compress", "decompress", "measure", "trials", "to_bytes", "from_bytes",
-    "overhead_bytes", "HEADER_BYTES",
+    "overhead_bytes", "check_error", "BOUND_RTOL", "HEADER_BYTES",
 ]
 
 _HEADER = struct.Struct("<2sBdI4Ix")
@@ -50,6 +52,10 @@ _MAGIC = b"RQ"
 _PREDICTOR_IDS = ("lorenzo", "interp", "regression")
 _LOSSLESS_FLAG = 0x80
 _CODEBOOK = np.dtype([("symbol", "<i4"), ("length", "u1")])  # 5 B per symbol
+
+#: Relative slack on ``max_err <= eb_abs``: the error is computed in float64
+#: and can pass a bound the compressor meets by one rounding step.
+BOUND_RTOL = 1e-9
 
 
 def overhead_bytes(n_symbols: int, side_bytes: int) -> int:
@@ -149,6 +155,16 @@ def decompress(c: CompressedField) -> np.ndarray:
     return pred.decompress(c.codes, c.shape, c.eb_abs, c.extras)
 
 
+def check_error(c: CompressedField, quality: dict) -> dict:
+    """``quality`` (a ``judge`` of ``c``'s reconstruction) if its ``max_err``
+    is within ``c.eb_abs·(1 + BOUND_RTOL)``, else ``ValueError`` (NaN too)."""
+    if not quality["max_err"] <= c.eb_abs * (1.0 + BOUND_RTOL):
+        raise ValueError(
+            f"{c.predictor}: max error {quality['max_err']!r} exceeds the bound {c.eb_abs!r}"
+        )
+    return quality
+
+
 def to_bytes(c: CompressedField) -> bytes:
     """The compressed blob of ``c``: ``len(to_bytes(c)) == c.nbytes_lossless``.
     Raises ``ValueError`` for a shape outside 1-4 dims of 1..2**32-1 and for
@@ -222,8 +238,9 @@ def trials(
     (``ssim`` is NaN unless ``with_ssim``). The trial's wall-clock seconds
     follow, stage by stage: ``predict_s`` (prediction + quantization),
     ``huffman_s`` (Huffman build + encode), ``lossless_s`` (the ``body``),
-    ``decompress_s`` and ``judge_s``. A caller that stops early skips the
-    remaining trials.
+    ``decompress_s`` and ``judge_s``. Each trial is held to the hard bound
+    right after its judge (``check_error``). A caller that stops early skips
+    the remaining trials.
     """
     check_field(data)
     ref = analysis.reference(data, with_ssim)
@@ -236,6 +253,7 @@ def trials(
         t2 = time.perf_counter()
         quality = ref.judge(rec)
         t3 = time.perf_counter()
+        check_error(c, quality)
         yield {
             "predictor": predictor,
             "eb_abs": float(eb_abs),

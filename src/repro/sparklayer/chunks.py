@@ -9,9 +9,10 @@ and shape, and the executor gets the array back as it was.
 ``chunk_rows`` cuts one field; ``layout_chunks`` turns chunk rows into an
 RDD (the dump passes one snapshot's rows, the Table II job every field's
 rows at once). ``per_chunk`` is the one place per-chunk work enters
-the Spark executors. Chunks travel as pickled dicts through the RDD API: a
-chunk is an opaque slab that a columnar format cannot help with, so the
-per-chunk path makes no Arrow, pandas or Spark SQL conversion.
+the Spark executors, and names the chunk of any exception it raises.
+Chunks travel as pickled dicts through the RDD API: a chunk is an opaque
+slab that a columnar format cannot help with, so the per-chunk path makes
+no Arrow, pandas or Spark SQL conversion.
 
 A chunk is a rank, not a Spark task. ``layout_chunks`` lays ``n`` chunks out
 in ``min(n, defaultParallelism)`` partitions balanced by bytes, with no
@@ -89,15 +90,21 @@ def per_chunk(chunks: RDD, fn: Callable[[dict, np.ndarray], Iterable[dict]]) -> 
 
     ``row`` is the chunk row and ``array`` its slab; ``fn`` returns
     that chunk's output rows as dicts, which follow one another in the order
-    the partition holds the chunks. Each task ends by dropping the worker's
-    cached zip finders (``_drop_zip_finders``), so a reused worker starts its
-    next task without re-reading ``pyspark.zip``.
+    the partition holds the chunks. An exception from ``fn`` leaves with a
+    PEP 678 note naming its chunk (``in RTM/2000 chunk 3``), which the
+    driver's ``PythonException`` text carries. Each task ends by dropping
+    the worker's cached zip finders (``_drop_zip_finders``), so a reused
+    worker starts its next task without re-reading ``pyspark.zip``.
     """
 
     def run(rows: Iterator[dict]) -> Iterator[dict]:
         try:
             for row in rows:
-                yield from fn(row, chunk_to_array(row))
+                try:
+                    yield from fn(row, chunk_to_array(row))
+                except Exception as e:
+                    e.add_note(f"in {row['dataset']}/{row['field']} chunk {row['chunk_id']}")
+                    raise
         finally:
             _drop_zip_finders()
 

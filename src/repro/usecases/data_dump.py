@@ -33,15 +33,18 @@ The TAE loop and the offline study run their trials through
 ``pipeline.trials`` (one reference of the field per rank or snapshot), and
 each rank's row is judged by ``analysis.judge``; the
 snapshot PSNR recombines the ranks' MSE and extrema with
-``analysis.psnr_db``. Per-phase wall time of a snapshot is the **max over
-ranks** (the parallel barrier), as in an MPI collective dump.
+``analysis.psnr_db``. Every trial, and every rank's reconstruction before
+its file is written, is held to the hard bound (``pipeline.check_error``):
+a rank over its bound fails the dump, its chunk named by ``per_chunk``, and
+writes nothing. Per-phase wall time of a snapshot is the **max over ranks**
+(the parallel barrier), as in an MPI collective dump.
 """
 from __future__ import annotations
 
 import math
 import os
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -159,8 +162,8 @@ def dump_snapshot(
         t0 = time.perf_counter()
         c = pipeline.compress(arr, predictor, eb)
         blob = pipeline.to_bytes(c)
-        nbytes = len(blob)
         t_comp = time.perf_counter() - t0
+        q = pipeline.check_error(c, analysis.judge(arr, pipeline.decompress(c)))
         path = os.path.join(outdir, f"t{t}_{method}_p{cid}.bin")
         t0 = time.perf_counter()
         with open(path, "wb") as f:
@@ -169,11 +172,10 @@ def dump_snapshot(
             os.fsync(f.fileno())
         t_io = time.perf_counter() - t0
         if io_bytes_per_second is not None:
-            budget = nbytes / io_bytes_per_second
+            budget = len(blob) / io_bytes_per_second
             if budget > t_io:
                 time.sleep(budget - t_io)
                 t_io = budget
-        q = analysis.judge(arr, pipeline.decompress(c))
         return [
             dict(
                 t=t,
@@ -182,7 +184,7 @@ def dump_snapshot(
                 opt_seconds=t_opt,
                 compress_seconds=t_comp,
                 io_seconds=t_io,
-                nbytes=int(nbytes),
+                nbytes=len(blob),
                 eb_abs=float(eb),
                 psnr=q["psnr"],
                 mse=q["mse"],
@@ -203,18 +205,17 @@ def snapshot_psnr(pdf: pd.DataFrame) -> float:
 
 
 def offline_worstcase_abs_eb(
-    timesteps: Sequence[int],
-    shape: tuple[int, int, int],
+    snapshots: Iterable[np.ndarray],
     target_psnr_db: float,
     predictor: str,
     candidates_abs: Sequence[float],
 ) -> float:
     """The traditional method's offline study: the largest shared absolute
-    candidate bound that meets the PSNR target on **every** snapshot
-    (Liebig's barrel — the lowest-amplitude snapshot dictates the bound)."""
+    candidate bound that meets the PSNR target on **every** one of
+    ``snapshots`` (Liebig's barrel — the lowest-amplitude snapshot dictates
+    the bound)."""
     ok = set(candidates_abs)
-    for t in timesteps:
-        d = rtm_snapshot(t, shape)
+    for d in snapshots:
         for m in pipeline.trials(d, predictor, sorted(ok), with_ssim=False):
             if m["psnr"] < target_psnr_db:
                 ok.discard(m["eb_abs"])
@@ -234,15 +235,13 @@ def run_dump_study(
     """Fig. 14: dump every snapshot with all three methods; per-snapshot
     per-phase time = max over ranks; also times the no-compression
     baseline. Quality is judged at snapshot level (the paper's PSNR), by
-    recombining per-rank MSE/extrema."""
-    d0 = rtm_snapshot(timesteps[0], shape)
-    cands = candidate_abs_ebs(analysis.value_range(d0))
-    trad_abs = offline_worstcase_abs_eb(
-        timesteps, shape, target_psnr_db, predictor, cands
-    )
+    recombining per-rank MSE/extrema. Each snapshot is generated once, for
+    the offline study and for its dumps."""
+    snapshots = [(int(t), rtm_snapshot(int(t), shape)) for t in timesteps]
+    cands = candidate_abs_ebs(analysis.value_range(snapshots[0][1]))
+    trad_abs = offline_worstcase_abs_eb([d for _, d in snapshots], target_psnr_db, predictor, cands)
     records = []
-    for t in timesteps:
-        data = rtm_snapshot(int(t), shape)
+    for t, data in snapshots:
         # uncompressed baseline: parallel raw write of the full snapshot
         raw_path = os.path.join(outdir, f"t{t}_raw.bin")
         os.makedirs(outdir, exist_ok=True)
@@ -259,7 +258,7 @@ def run_dump_study(
             pdf = dump_snapshot(
                 spark,
                 data,
-                int(t),
+                t,
                 outdir,
                 method,
                 target_psnr_db=target_psnr_db,
@@ -269,18 +268,13 @@ def run_dump_study(
                 candidates_abs=cands,
                 io_bytes_per_second=io_bytes_per_second,
             )
+            phases = pdf[["opt_seconds", "compress_seconds", "io_seconds"]].max()
             records.append(
                 dict(
-                    t=int(t),
+                    t=t,
                     method=method,
-                    opt_seconds=float(pdf["opt_seconds"].max()),
-                    compress_seconds=float(pdf["compress_seconds"].max()),
-                    io_seconds=float(pdf["io_seconds"].max()),
-                    total_seconds=float(
-                        pdf["opt_seconds"].max()
-                        + pdf["compress_seconds"].max()
-                        + pdf["io_seconds"].max()
-                    ),
+                    **phases.to_dict(),
+                    total_seconds=float(phases.sum()),
                     nbytes=int(pdf["nbytes"].sum()),
                     snapshot_psnr=snapshot_psnr(pdf),
                     raw_io_seconds=raw_io,

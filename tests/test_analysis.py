@@ -148,6 +148,24 @@ def test_reference_judge_is_the_formula_bit_for_bit(shape, case, dtype, with_ssi
         assert _same(analysis.judge(d, r, with_ssim), want)
 
 
+@pytest.mark.parametrize(
+    "orig,recon",
+    [
+        ([1.0, -2.0, 3.0], [1.0, -2.0, 3.0]),  # exact: +0.0
+        ([-0.0, -0.0], [0.0, 0.0]),  # errors of -0.0 only: +0.0 too
+        ([-0.0, 1.0], [0.0, 1.0]),
+        ([1.0, -2.0, 3.0], [1.5, -1.0, 2.75]),
+        ([1.0, 2.0], [np.nan, 2.0]),
+    ],
+)
+def test_judge_max_err_is_the_abs_max_bit_for_bit(orig, recon):
+    """``max_err``, the larger of the error's max and minus its min, is
+    ``np.max(np.abs(err))`` to the bit, sign of zero and NaN included."""
+    o, r = np.array(orig), np.array(recon)
+    want = np.max(np.abs(o - r))
+    assert np.float64(analysis.judge(o, r)["max_err"]).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("offset", [0.0, 0.5])
 def test_judge_constant_field_psnr_inf(offset):
     """A constant field has no range to scale an error by: PSNR inf and

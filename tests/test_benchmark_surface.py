@@ -1,10 +1,11 @@
-"""The names and call shapes the benchmark (``perfbench/``) calls, without a
-Spark session: ROADMAP's "The benchmark's surface is fixed" list.
+"""The names and call shapes the benchmark (``perfbench/``) calls, with no
+chunk job in Spark: ROADMAP's "The benchmark's surface is fixed" list.
 
 A change that renames a function, a keyword or an estimate key the
 benchmark reads fails here, in Tier-1, before a benchmark run fails on it.
 Spark-side calls are checked by binding their signature to the call the
-benchmark makes; the others are called on small fields.
+benchmark makes (``measure_metrics``'s ``seconds`` on chunks run in this
+process); the others are called on small fields.
 """
 import inspect
 import sys
@@ -23,6 +24,7 @@ from repro.sparklayer import estimate_metrics, measure_metrics, sample_reports
 from repro.sparklayer.chunks import chunk_rows, chunk_to_array
 from repro.usecases import data_dump
 from repro.usecases.predictor_selection import rd_curves, select_predictor
+from tests.stand_ins import LocalChunks
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 import _common  # noqa: E402
@@ -48,6 +50,26 @@ def test_table2_job_surface():
     _binds(estimate_metrics, SPARK, ["lorenzo"], (1e-3,), seed=7)
     _binds(measure_metrics, SPARK, ["lorenzo"], (1e-3,))
     _binds(sample_reports, SPARK, "lorenzo", rate=0.01, seed=7)
+
+
+def test_measure_metrics_seconds_are_the_trial_stage_sums(spark, monkeypatch):
+    """The traced pass sums ``measure_metrics``'s ``seconds``: finite, >= 0
+    and on each row the sum of its trial's five stage seconds."""
+    seen = []
+    real = pipeline.trials
+
+    def recorded(*args, **kwargs):
+        for m in real(*args, **kwargs):
+            seen.append(m)
+            yield m
+
+    monkeypatch.setattr(pipeline, "trials", recorded)
+    rows = chunk_rows("SCALE", "PRES", sci_data.generate("SCALE", "PRES", "test"), 2)
+    pdf = measure_metrics(LocalChunks(rows), ["lorenzo"], (1e-3, 1e-2)).toPandas()
+    stages = ("predict_s", "huffman_s", "lossless_s", "decompress_s", "judge_s")
+    assert len(pdf) == len(seen) == 2 * 2
+    assert np.isfinite(pdf["seconds"]).all() and (pdf["seconds"] >= 0).all()
+    assert list(pdf["seconds"]) == [sum(m[s] for s in stages) for m in seen]
 
 
 def test_field_generation_surface():

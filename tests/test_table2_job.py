@@ -13,9 +13,9 @@ import pytest
 from pyspark.sql import SparkSession
 
 from repro import sci_data
-from repro.compressor import pipeline
 from repro.config import EB_SWEEP_REL
 from tests.oracle import assert_equivalent
+from tests.stand_ins import LocalChunks, break_the_bound
 from repro.sparklayer import table2_metrics
 from repro.sparklayer.chunks import chunk_rows
 
@@ -177,36 +177,16 @@ def test_main_emits_table_e1_from_the_table2_trials(spark, monkeypatch):
     np.testing.assert_allclose(secs.iloc[-1, :-1], secs.iloc[:-1, :-1].mean(), rtol=1e-12)
 
 
-class _LocalChunks:
-    """A chunk RDD stand-in whose ``mapPartitions`` runs in this process
-    (one partition), so that a monkeypatch of the compressor reaches the
-    job's trials."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def mapPartitions(self, f):
-        return _LocalChunks(list(f(iter(self.rows))))
-
-    def collect(self):
-        return self.rows
-
-
 def test_main_rejects_a_trial_over_its_bound(monkeypatch):
     """The job checks the hard bound of every trial: a decompressor that
-    moves one point by 2·eb makes it raise, naming the chunk and bound."""
-    real = pipeline.decompress
-
-    def one_point_off(c):
-        rec = real(c).copy()
-        rec.flat[rec.size // 2] += 2 * c.eb_abs
-        return rec
-
+    moves one point by 2·eb makes it raise, naming the predictor and the
+    bound (``pipeline.check_error``) and, in a note, the chunk
+    (``per_chunk``)."""
     rows = chunk_rows("SCALE", "PRES", sci_data.generate("SCALE", "PRES", "test"), 2)
-    monkeypatch.setattr(table2_accuracy, "build_corpus", lambda spark, scale: _LocalChunks(rows))
+    monkeypatch.setattr(table2_accuracy, "build_corpus", lambda spark, scale: LocalChunks(rows))
     monkeypatch.setattr(table2_accuracy, "emit", lambda name, pdf, float_fmt="%.4g": None)
-    assert len(table2_metrics(_LocalChunks(rows), ["lorenzo"], EB_SWEEP_REL)) == 2 * 7
-    monkeypatch.setattr(pipeline, "decompress", one_point_off)
-    with pytest.raises(ValueError, match=rf"SCALE/PRES chunk 0 \(lorenzo\): max error .* exceeds "
-                       rf"the bound .* \(eb_rel {EB_SWEEP_REL[0]}\)"):
+    assert len(table2_metrics(LocalChunks(rows), ["lorenzo"], EB_SWEEP_REL)) == 2 * 7
+    break_the_bound(monkeypatch)
+    with pytest.raises(ValueError, match=r"^lorenzo: max error .* exceeds the bound .*\n"
+                       r"in SCALE/PRES chunk 0$"):
         table2_accuracy.main(None, "test")

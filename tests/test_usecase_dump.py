@@ -8,6 +8,7 @@ import pytest
 from repro.compressor import pipeline
 from repro.core import quality_model
 from repro.sci_data import rtm_snapshot
+from repro.usecases import data_dump
 from repro.usecases.data_dump import (
     candidate_abs_ebs,
     dump_snapshot,
@@ -34,15 +35,15 @@ def _cands(d) -> tuple[float, ...]:
 def test_offline_worstcase_is_a_candidate():
     d0 = rtm_snapshot(1000, SHAPE)
     cands = candidate_abs_ebs(float(d0.max() - d0.min()))
-    eb = offline_worstcase_abs_eb([1000, 3400], SHAPE, TARGET, "lorenzo", cands)
+    eb = offline_worstcase_abs_eb([d0, rtm_snapshot(3400, SHAPE)], TARGET, "lorenzo", cands)
     assert eb in cands
 
 
 def test_offline_worstcase_tightens_with_quality():
     d0 = rtm_snapshot(2000, SHAPE)
     cands = candidate_abs_ebs(float(d0.max() - d0.min()))
-    loose = offline_worstcase_abs_eb([2000], SHAPE, 30.0, "lorenzo", cands)
-    tight = offline_worstcase_abs_eb([2000], SHAPE, 70.0, "lorenzo", cands)
+    loose = offline_worstcase_abs_eb([d0], 30.0, "lorenzo", cands)
+    tight = offline_worstcase_abs_eb([d0], 70.0, "lorenzo", cands)
     assert tight <= loose
 
 
@@ -185,10 +186,18 @@ def test_traditional_requires_rel_eb(spark, outdir):
         dump_snapshot(spark, d, 2000, outdir, "traditional", _cands(d), n_partitions=1)
 
 
-def test_run_dump_study_structure(spark, outdir):
+def test_run_dump_study_structure(spark, outdir, monkeypatch):
+    made = []
+
+    def counted(t, shape):
+        made.append(t)
+        return rtm_snapshot(t, shape)
+
+    monkeypatch.setattr(data_dump, "rtm_snapshot", counted)
     pdf = run_dump_study(
         spark, [1200, 2400], SHAPE, outdir, target_psnr_db=TARGET, n_partitions=2
     )
+    assert made == [1200, 2400]  # each snapshot generated once
     assert set(pdf["method"]) == {"traditional", "tae", "model"}
     assert len(pdf) == 6
     assert (pdf["total_seconds"] > 0).all()
